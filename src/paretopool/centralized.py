@@ -22,9 +22,9 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .distortion import Distortion
 from .errors import DomainError, NoCessionWarning, ProfileMismatchError, SolverError
-from .riskmeasure import EmpiricalSpace, as_profile, choquet, es
+from .riskmeasure import (EmpiricalSpace, _layer_function, _layer_table,
+                          as_profile, choquet, es)
 
 log = logging.getLogger(__name__)
 
@@ -47,22 +47,10 @@ def _check_inputs(space, endowments, distortions, alpha):
     return xs, alpha
 
 
-def _agent_layers(space: EmpiricalSpace, X: np.ndarray):
-    """Layer grid of one endowment: lower bounds, lengths, exceedance
-    indicators (layers x states) under the reference measure."""
-    zs = np.unique(X)
-    bps = zs if zs[0] == 0.0 else np.concatenate([[0.0], zs])
-    lower, lengths = bps[:-1], np.diff(bps)
-    exceed = X[None, :] > lower[:, None]
-    return bps, lower, lengths, exceed
-
-
-def _layer_survivals(exceed: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-layer exceedance mass, pinned to exactly 1 on full-measure rows
-    so distortions with unbounded endpoint slope see no ulp shortfall."""
-    surv = np.clip(exceed @ weights, 0.0, 1.0)
-    surv[(~exceed) @ weights == 0.0] = 1.0
-    return surv
+def _layer_survivals(space: EmpiricalSpace, X: np.ndarray):
+    """Layer breakpoints of X and the pinned reference survival above each."""
+    bps, tails = _layer_table(X, [space.weights], origin=True)
+    return bps, tails[0, :-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,10 +76,11 @@ def solve_measure_lp(space: EmpiricalSpace, endowments, distortions,
     n_states = space.state_count
     blocks, lens_all, nus_all = [], [], []
     for X, d in zip(xs, distortions):
-        _, _, lengths, exceed = _agent_layers(space, X)
-        blocks.append(exceed.astype(float))
-        lens_all.append(lengths)
-        nus_all.append(d(_layer_survivals(exceed, space.weights)))
+        bps, surv = _layer_survivals(space, X)
+        # The LP's constraint rows are the dense exceedance indicators.
+        blocks.append((X[None, :] > bps[:-1, None]).astype(float))
+        lens_all.append(np.diff(bps))
+        nus_all.append(d(surv))
     E = np.vstack(blocks) if blocks else np.zeros((0, n_states))
     lens = np.concatenate(lens_all) if lens_all else np.zeros(0)
     nus = np.concatenate(nus_all) if nus_all else np.zeros(0)
@@ -144,11 +133,7 @@ class CentralizedContract:
         return len(self.slopes)
 
     def indemnity(self, i: int, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        bps = self.breakpoints[i]
-        lower, lengths = bps[:-1], np.diff(bps)
-        overlap = np.clip(x[None, :] - lower[:, None], 0.0, lengths[:, None])
-        return self.slopes[i] @ overlap
+        return _layer_function(self.breakpoints[i], self.slopes[i], x)
 
     def indemnity_profiles(self, space: EmpiricalSpace, endowments) -> np.ndarray:
         return np.array([self.indemnity(i, as_profile(space, X))
@@ -209,9 +194,10 @@ def build_indemnities(space: EmpiricalSpace, q_star, endowments, distortions,
         raise ProfileMismatchError("q_star length does not match the space")
     all_bps, all_slopes = [], []
     for i, (X, d) in enumerate(zip(xs, distortions)):
-        bps, _, _, exceed = _agent_layers(space, X)
-        qv = exceed @ q
-        nu = d(_layer_survivals(exceed, space.weights))
+        bps, surv = _layer_survivals(space, X)
+        nu = d(surv)
+        # Q*(X_i > b_k) as raw sums: neither clipped nor pinned.
+        qv = _layer_table(X, [q], origin=True, pin=False)[1][0, :-1]
         on_tie = np.full(qv.size, 0.5) if tie_slopes is None else \
             np.clip(np.asarray(tie_slopes[i], dtype=float), 0.0, 1.0)
         if on_tie.shape != qv.shape:

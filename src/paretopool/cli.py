@@ -31,7 +31,7 @@ from . import ingest
 from .distortion import (PARAM_NAMES, POWER, TABULATED, Distortion,
                          DistortionSet, single, validate_params)
 from .errors import (ConfigError, FormatError, ParetopoolError)
-from .posolver import (AgentSpec, LayerAllocation, side_payments, solve_robust,
+from .posolver import (TIE_TOL, AgentSpec, side_payments, solve_robust,
                        welfare_report, with_side_payments)
 from .riskmeasure import EmpiricalSpace
 
@@ -146,7 +146,7 @@ def load_config(path) -> RunConfig:
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances must be an object")
     _require_keys(tolerances, _TOL_KEYS, "config.tolerances")
-    tie = float(tolerances.get("tie", 1e-12))
+    tie = float(tolerances.get("tie", TIE_TOL))
     if tie < 0.0:
         raise ConfigError("tolerances.tie must be non-negative")
     raw_agents = payload.get("agents")
@@ -341,7 +341,7 @@ def cmd_po_decentralized(args) -> int:
     loss_column = args.loss_column or cfg.loss_column
     panel, _, agents = _load_market(cfg, args.data, loss_column)
     labels = [a.label for a in cfg.agents]
-    solution = solve_robust(agents)
+    solution = solve_robust(agents, tie_tol=cfg.tie_tolerance)
     rule = _resolve_weights_arg(args, cfg)
     base_report = welfare_report(agents, solution.allocation)
     weights = _welfare_weights(rule, base_report.total_welfare, len(agents))
@@ -432,13 +432,14 @@ def cmd_stackelberg(args) -> int:
     return 0
 
 
-def sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha):
+def sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha,
+               tie_tol=TIE_TOL):
     """Welfare comparison rows for a grid of power exponents.
 
     The swept agent's distortion is replaced by power(gamma) at each grid
     value; every agent must carry a single distortion and the shared
-    reference measure.  Grid points are evaluated in parallel; the rows
-    come back in grid order.
+    reference measure.  ``tie_tol`` is the layer solve's relative tie band.
+    Grid points are evaluated in parallel; the rows come back in grid order.
     """
     base = [ds[0] for ds in dist_sets]
 
@@ -447,7 +448,7 @@ def sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha):
         dists[sweep_index] = Distortion.power(gamma)
         agents = [AgentSpec(space, single(d), x)
                   for d, x in zip(dists, endowments)]
-        solution = solve_robust(agents)
+        solution = solve_robust(agents, tie_tol=tie_tol)
         report = welfare_report(agents, solution.allocation)
         contract = central.solve_centralized(space, endowments, dists, alpha)
         welfare = central.centralized_welfare(space, endowments, dists, contract)
@@ -483,7 +484,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep grid needs positive gamma values")
     endowments = [a.endowment for a in agents]
     dist_sets = [a.distortions for a in agents]
-    rows = sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha)
+    rows = sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha,
+                      cfg.tie_tolerance)
     out = _out_dir(args)
     _write_csv(out / "sweep.csv",
                ["gamma", "rpra", "centralized_avg_gain",

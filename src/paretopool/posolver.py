@@ -17,10 +17,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distortion import (PRELEC1, PRELEC2, Distortion, DistortionSet)
+from .distortion import PRELEC1, PRELEC2, DistortionSet
 from .errors import (DomainError, InvalidWeightsError, ProfileMismatchError,
                      ResourceLimitError, UnsupportedOperationError)
-from .riskmeasure import EmpiricalSpace, as_profile, choquet, robust_drm, var
+from .riskmeasure import (EmpiricalSpace, _layer_function, _layer_table,
+                          as_profile, robust_drm, var)
 
 log = logging.getLogger(__name__)
 
@@ -99,21 +100,11 @@ def layer_decomposition(S, beliefs) -> LayerGrid:
     S = as_profile(ref, S)
     if np.any(S < 0.0):
         raise DomainError("aggregate loss must be non-negative")
-    zs = np.unique(S)
-    breakpoints = zs if zs[0] == 0.0 else np.concatenate([[0.0], zs])
-    lower = breakpoints[:-1]
-    exceed = S[None, :] > lower[:, None]          # (layers, states)
-    survs = np.empty((len(beliefs), lower.size))
-    for i, b in enumerate(beliefs):
-        if b.state_count != ref.state_count:
-            raise ProfileMismatchError("beliefs must share one state set")
-        s = np.clip(exceed @ b.weights, 0.0, 1.0)
-        # A layer missing only zero-weight states has survival exactly 1;
-        # pin it so distortions with unbounded endpoint slope do not
-        # amplify a one-ulp shortfall of the dot product.
-        s[(~exceed) @ b.weights == 0.0] = 1.0
-        survs[i] = s
-    return LayerGrid(breakpoints, survs)
+    if any(b.state_count != ref.state_count for b in beliefs):
+        raise ProfileMismatchError("beliefs must share one state set")
+    # Beliefs shared by several agents are tabulated once.
+    breakpoints, tails = _layer_table(S, [b.weights for b in beliefs], origin=True)
+    return LayerGrid(breakpoints, tails[:, :-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,11 +131,7 @@ class LayerAllocation:
         Defined on [0, max S]; beyond the last breakpoint the functions
         stay flat, which is irrelevant on the support of S.
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        lower = self.breakpoints[:-1]
-        lengths = np.diff(self.breakpoints)
-        overlap = np.clip(x[None, :] - lower[:, None], 0.0, lengths[:, None])
-        return self.slopes @ overlap
+        return _layer_function(self.breakpoints, self.slopes, x)
 
     def profiles(self, S) -> np.ndarray:
         """Per-state post-trade losses g_i(S) + c_i, shape (agents, states)."""
@@ -171,13 +158,6 @@ class LayerAllocation:
         )
 
 
-def _distorted_survivals(agents, grid: LayerGrid, chosen) -> np.ndarray:
-    out = np.empty_like(grid.survivals)
-    for i, a in enumerate(agents):
-        out[i] = a.distortions[chosen[i]](grid.survivals[i])
-    return out
-
-
 def solve_fixed(agents, *, chosen: tuple[int, ...] | None = None,
                 tie_tol: float = TIE_TOL) -> tuple[LayerAllocation, float]:
     """Optimal layer allocation when each agent prices with one distortion.
@@ -194,14 +174,16 @@ def solve_fixed(agents, *, chosen: tuple[int, ...] | None = None,
             raise UnsupportedOperationError(
                 "solve_fixed needs singleton candidate sets; use solve_robust")
         chosen = (0,) * n
-    S = aggregate_loss(agents)
-    grid = layer_decomposition(S, [a.belief for a in agents])
-    m = grid.layer_count
+    grid = layer_decomposition(aggregate_loss(agents), [a.belief for a in agents])
+    return _solve_on_grid(agents, grid, chosen, tie_tol)
+
+
+def _solve_on_grid(agents, grid: LayerGrid, chosen,
+                   tie_tol: float) -> tuple[LayerAllocation, float]:
+    n, m = len(agents), grid.layer_count
     slopes = np.zeros((n, m))
-    if m == 0:
-        alloc = LayerAllocation(grid.breakpoints, slopes, np.zeros(n), tuple(chosen))
-        return alloc, 0.0
-    distorted = _distorted_survivals(agents, grid, chosen)
+    distorted = np.array([a.distortions[c](s)
+                          for a, c, s in zip(agents, chosen, grid.survivals)])
     mins = distorted.min(axis=0)
     winners = (distorted <= mins[None, :] * (1.0 + tie_tol)).argmax(axis=0)
     slopes[winners, np.arange(m)] = 1.0
@@ -223,28 +205,27 @@ def _combo_value(tables, lengths, combo) -> float:
 
 
 def solve_robust(agents, *, product_cap: int = PRODUCT_CAP,
-                 allow_coordinate_ascent: bool = True) -> RobustSolution:
+                 allow_coordinate_ascent: bool = True,
+                 tie_tol: float = TIE_TOL) -> RobustSolution:
     """Worst-case-optimal allocation over finite candidate distortion sets.
 
     The layer value is maximised over the product of candidate sets;
     exhaustive enumeration is used while the product size stays within
     ``product_cap``, otherwise deterministic coordinate ascent from uniform
     candidate-index starts.  Ties keep the lexicographically first
-    maximiser.  Singleton sets reproduce :func:`solve_fixed` exactly.
+    maximiser.  The chosen candidates are then solved on the same layer
+    grid with ``tie_tol``; singleton sets reproduce :func:`solve_fixed` exactly.
     """
     _check_market(agents)
     sizes = [len(a.distortions) for a in agents]
-    S = aggregate_loss(agents)
-    grid = layer_decomposition(S, [a.belief for a in agents])
-    if grid.layer_count == 0:
-        chosen = (0,) * len(agents)
-        alloc, value = solve_fixed(agents, chosen=chosen)
-        return RobustSolution(chosen, alloc, value)
+    grid = layer_decomposition(aggregate_loss(agents), [a.belief for a in agents])
     tables = [[d(grid.survivals[i]) for d in a.distortions]
               for i, a in enumerate(agents)]
     lengths = grid.lengths
     product = math.prod(sizes)
-    if product <= product_cap:
+    if grid.layer_count == 0:
+        best_combo = (0,) * len(agents)
+    elif product <= product_cap:
         best_combo, best = None, -math.inf
         for combo in itertools.product(*(range(s) for s in sizes)):
             v = _combo_value(tables, lengths, combo)
@@ -257,7 +238,7 @@ def solve_robust(agents, *, product_cap: int = PRODUCT_CAP,
                 f"candidate product {product} exceeds cap {product_cap}")
         best_combo, best = _coordinate_ascent(tables, lengths, sizes)
         log.debug("robust solve: coordinate ascent over product %d", product)
-    alloc, value = solve_fixed(agents, chosen=best_combo)
+    alloc, value = _solve_on_grid(agents, grid, best_combo, tie_tol)
     return RobustSolution(tuple(best_combo), alloc, value)
 
 

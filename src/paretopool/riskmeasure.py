@@ -78,20 +78,52 @@ def survival(space: EmpiricalSpace, values, x: float) -> float:
     return float(np.sum(space.weights[mask]))
 
 
-def _distinct_layers(space: EmpiricalSpace, z: np.ndarray):
-    """Sorted distinct values and the survival just above each of them.
+def _layer_table(z: np.ndarray, weight_rows, *, origin: bool = False,
+                 pin: bool = True):
+    """Sorted distinct values zs of z and, per weight row, the mass of z > zs[k].
 
-    tails[k] = Q(Z > zs[k]); computed as suffix sums of the aggregated
-    weights so no cancellation occurs, then clipped into [0, 1].
+    One sort, then a bincount and suffix sums (no cancellation) per distinct
+    row object: O(m log m + rows * m).  ``origin`` prepends 0 when the
+    non-negative z has no zero, giving a loss's layer breakpoints.  ``pin``
+    clips into [0, 1] and sets exactly 1 where the mass at or below zs[k] is
+    an exact zero (full measure): distortions with unbounded endpoint slope
+    would amplify a one-ulp shortfall of the float sum.
     """
     zs, inverse = np.unique(z, return_inverse=True)
-    w = np.bincount(inverse, weights=space.weights, minlength=zs.size)
-    tails = np.clip(np.concatenate([np.cumsum(w[::-1])[::-1][1:], [0.0]]), 0.0, 1.0)
-    # Where the mass at or below zs[k] is an exact zero the tail has full
-    # measure; pin it to 1 so distortions with unbounded endpoint slope do
-    # not amplify a one-ulp shortfall of the float sum.
-    tails[np.cumsum(w) == 0.0] = 1.0
-    return zs, tails
+    if origin and zs[0] != 0.0:
+        zs, inverse = np.concatenate([[0.0], zs]), inverse + 1
+    distinct: dict[int, np.ndarray] = {}
+    for w in weight_rows:
+        if id(w) not in distinct:
+            mass = np.bincount(inverse, weights=w, minlength=zs.size)
+            t = np.append(np.cumsum(mass[::-1])[::-1][1:], 0.0)
+            if pin:
+                t = np.clip(t, 0.0, 1.0)
+                t[np.cumsum(mass) == 0.0] = 1.0
+            distinct[id(w)] = t
+    return zs, np.array([distinct[id(w)] for w in weight_rows])
+
+
+def _layer_function(breakpoints: np.ndarray, slopes: np.ndarray, x) -> np.ndarray:
+    """sum_k slopes[..., k] * clip(x - b_k, 0, b_k+1 - b_k) at scalar or 1-D x.
+
+    Each x reads the cumulative sum of the layers below its own, found by
+    ``searchsorted``: O((layers + points) log layers) per row.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    lower, lengths = breakpoints[:-1], np.diff(breakpoints)
+    if lower.size == 0:
+        return np.zeros(slopes.shape[:-1] + x.shape)
+    below = np.cumsum(slopes * lengths, axis=-1)
+    below = np.concatenate([np.zeros_like(below[..., :1]), below[..., :-1]], axis=-1)
+    k = np.clip(np.searchsorted(lower, x, side="right") - 1, 0, lower.size - 1)
+    return below[..., k] + slopes[..., k] * np.clip(x - lower[k], 0.0, lengths[k])
+
+
+def _distinct_layers(space: EmpiricalSpace, values):
+    """Sorted distinct values and the survival tails[k] = Q(Z > zs[k])."""
+    zs, tails = _layer_table(as_profile(space, values), [space.weights])
+    return zs, tails[0]
 
 
 def choquet(space: EmpiricalSpace, values, d: Distortion) -> float:
@@ -104,8 +136,7 @@ def choquet(space: EmpiricalSpace, values, d: Distortion) -> float:
     which is exact for profiles bounded below (negative values included,
     via the built-in translation by the minimum).
     """
-    z = as_profile(space, values)
-    zs, tails = _distinct_layers(space, z)
+    zs, tails = _distinct_layers(space, values)
     if zs.size == 1:
         return float(zs[0])
     return float(zs[0] + np.dot(np.diff(zs), d(tails[:-1])))
@@ -116,8 +147,7 @@ def var(space: EmpiricalSpace, values, alpha: float) -> float:
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"var level must lie in (0, 1), got {alpha}")
-    z = as_profile(space, values)
-    zs, tails = _distinct_layers(space, z)
+    zs, tails = _distinct_layers(space, values)
     return float(zs[np.argmax(tails <= alpha)])
 
 
@@ -130,8 +160,7 @@ def es(space: EmpiricalSpace, values, alpha: float) -> float:
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"es level must lie in (0, 1), got {alpha}")
-    z = as_profile(space, values)
-    zs, tails = _distinct_layers(space, z)
+    zs, tails = _distinct_layers(space, values)
     # VaR_u = zs[k] for u in [tails[k], tails[k-1]); tails[-1] = 0.
     upper = np.concatenate([[1.0], tails[:-1]])
     seg = np.clip(np.minimum(upper, alpha) - np.minimum(tails, alpha), 0.0, None)

@@ -271,6 +271,31 @@ def test_po_decentralized_per_agent_belief(workdir):
                "--data", workdir / "data.csv", "--out", out) == 0
 
 
+@pytest.mark.parametrize("tie, winner", [(1e-12, 1), (1e-3, 0)])
+def test_po_decentralized_tie_tolerance(workdir, tie, winner):
+    # Shared belief, power(0.5) against power(0.5000001): the second
+    # agent's distorted survival s**0.5000001 undercuts s**0.5 by about
+    # 1e-7 relative on every layer with survival s < 1, so it takes those
+    # layers unless the tie band swallows the gap; then the lowest index
+    # (the first agent) keeps them.
+    cfg = base_config(tolerances={"tie": tie})
+    cfg["agents"] = [
+        {"label": "CA", "distortions": [{"family": "power", "params": {"gamma": 0.5}}]},
+        {"label": "FL", "distortions": [{"family": "power", "params": {"gamma": 0.5000001}}]},
+    ]
+    (workdir / "config.json").write_text(json.dumps(cfg))
+    out = workdir / "dec_tie"
+    assert run(workdir, "po-decentralized", "--config", workdir / "config.json",
+               "--data", workdir / "data.csv", "--out", out) == 0
+    slopes = np.array(json.loads((out / "allocation.json").read_text())["slopes"])
+    assert slopes.shape[1] >= 2
+    # Every month has a CA or FL loss, so the bottom layer has survival 1,
+    # where both agents price at exactly 1 and the first one wins.
+    assert slopes[0, 0] == 1.0
+    assert np.all(slopes[winner, 1:] == 1.0)
+    assert np.all(slopes[1 - winner, 1:] == 0.0)
+
+
 def test_po_decentralized_unknown_endowment_column(workdir):
     cfg = base_config()
     cfg["agents"][0]["endowment_column"] = "NV"

@@ -1,6 +1,8 @@
 """Decentralized layer allocations, robust solving, side payments."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +12,11 @@ from paretopool import (AgentSpec, Distortion, DistortionSet, EmpiricalSpace,
                         layer_decomposition, prelec_deductible, side_payments,
                         single, solve_fixed, solve_robust, var,
                         welfare_report, with_side_payments)
+from paretopool.centralized import CentralizedContract, build_indemnities
 from paretopool.errors import (DomainError, InvalidWeightsError,
                                ProfileMismatchError, ResourceLimitError,
                                UnsupportedOperationError)
-from testkit import allocation_risk, rand_agents
+from testkit import allocation_risk, rand_agents, rand_distortion, rand_losses
 
 E_INV = math.exp(-1.0)
 
@@ -403,3 +406,151 @@ def test_market_checks():
     b = AgentSpec(EmpiricalSpace.uniform(3), single(Distortion.identity()), [1.0, 2.0, 3.0])
     with pytest.raises(ProfileMismatchError):
         aggregate_loss([a, b])
+
+
+# -- layer kernel against a dense layers x states reference -------------------
+
+
+def _dense_layers(S, weights):
+    """Breakpoints, pinned survivals and full-measure mask per weight row,
+    built from the explicit layers x states exceedance matrix."""
+    zs = np.unique(S)
+    bps = zs if zs[0] == 0.0 else np.concatenate([[0.0], zs])
+    exceed = S[None, :] > bps[:-1, None]
+    survs, full = [], []
+    for w in weights:
+        s = np.clip(exceed @ w, 0.0, 1.0)
+        f = (~exceed) @ w == 0.0
+        s[f] = 1.0
+        survs.append(s)
+        full.append(f)
+    shape = (len(weights), bps.size - 1)
+    return bps, np.reshape(survs, shape), np.reshape(full, shape)
+
+
+def _dense_layer_function(bps, slopes, x):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    lower, lengths = bps[:-1], np.diff(bps)
+    overlap = np.clip(x[None, :] - lower[:, None], 0.0, lengths[:, None])
+    return slopes @ overlap
+
+
+def _sparse_belief(rng, m, zero_states):
+    """Random belief with zero weight on the given states."""
+    w = rng.uniform(0.05, 1.0, m)
+    w[zero_states] = 0.0
+    return EmpiricalSpace(w / w.sum())
+
+
+def _kernel_market(rng, m, n, *, shared, zero_state, all_zero):
+    """Seeded market whose lowest-loss states carry zero weight, so some
+    layers above the bottom one have full measure."""
+    xs = [rand_losses(rng, m) for _ in range(n)]
+    if all_zero:
+        xs = [np.zeros(m) for _ in range(n)]
+    elif zero_state:
+        for x in xs:
+            x[0] = 0.0
+    else:
+        xs[0] = xs[0] + 0.5
+    low = np.argsort(np.sum(xs, axis=0), kind="stable")[:int(rng.integers(0, 3))]
+    common = _sparse_belief(rng, m, low)
+    beliefs = [common if shared or i % 2 else _sparse_belief(rng, m, low)
+               for i in range(n)]
+    return [AgentSpec(b, single(rand_distortion(rng)), x)
+            for b, x in zip(beliefs, xs)]
+
+
+KERNEL_CASES = [(shared, zero_state, all_zero)
+                for shared in (True, False) for zero_state in (True, False)
+                for all_zero in (False, True)
+                if not (all_zero and not zero_state)]
+
+
+@pytest.mark.parametrize("shared, zero_state, all_zero", KERNEL_CASES)
+def test_layer_kernel_matches_dense_reference(shared, zero_state, all_zero):
+    rng = np.random.default_rng(7000 + 4 * shared + 2 * zero_state + all_zero)
+    for _ in range(25):
+        m, n = int(rng.integers(2, 40)), int(rng.integers(1, 5))
+        agents = _kernel_market(rng, m, n, shared=shared, zero_state=zero_state,
+                                all_zero=all_zero)
+        S = aggregate_loss(agents)
+        weights = [a.belief.weights for a in agents]
+        bps, survs, full = _dense_layers(S, weights)
+        grid = layer_decomposition(S, [a.belief for a in agents])
+        assert np.array_equal(grid.breakpoints, bps)
+        assert grid.survivals.shape == survs.shape
+        assert np.all(np.abs(grid.survivals - survs) <= 1e-15)
+        assert np.all(grid.survivals[full] == 1.0)
+        assert all_zero or zero_state or np.all(grid.survivals[:, 0] == 1.0)
+
+        top = float(S.max())
+        points = [S, S[0], 0.5 * top, -1.0, top + 3.0, np.array([-2.0, top, 2 * top + 1])]
+        alloc, _ = solve_fixed(agents)
+        mixed = LayerAllocation(bps, rng.uniform(0.0, 1.0, (n, bps.size - 1)),
+                                np.zeros(n), (0,) * n)
+        for a in (alloc, mixed):
+            for x in points:
+                got = a.coverage(x)
+                want = _dense_layer_function(bps, a.slopes, x)
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 1e-12 * top)
+
+
+@pytest.mark.parametrize("zero_state", [True, False])
+def test_centralized_layers_match_dense_reference(zero_state):
+    rng = np.random.default_rng(7100 + zero_state)
+    for _ in range(25):
+        m, n = int(rng.integers(2, 30)), int(rng.integers(1, 4))
+        agents = _kernel_market(rng, m, n, shared=True, zero_state=zero_state,
+                                all_zero=False)
+        space = agents[0].belief
+        xs = [a.endowment for a in agents]
+        dists = [a.distortions[0] for a in agents]
+        q = rng.uniform(0.0, 1.0, m)
+        q /= q.sum()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            contract = build_indemnities(space, q, xs, dists, 0.2)
+        slopes = []
+        for i, (x, d) in enumerate(zip(xs, dists)):
+            bps, survs, _ = _dense_layers(x, [space.weights])
+            assert np.array_equal(contract.breakpoints[i], bps)
+            exceed = x[None, :] > bps[:-1, None]
+            qv, nu = exceed @ q, d(survs[0])
+            decided = np.abs(qv - nu) > 1e-9
+            want = np.where(qv < nu, 1.0, 0.0)
+            assert np.array_equal(contract.slopes[i][decided], want[decided])
+            slopes.append(rng.uniform(0.0, 1.0, bps.size - 1))
+        mixed = CentralizedContract(0.2, q, float("nan"), contract.breakpoints,
+                                    tuple(slopes))
+        for i, x in enumerate(xs):
+            top = float(x.max())
+            bps = contract.breakpoints[i]
+            for pts in (x, -1.0, top + 2.0, 0.5 * top):
+                got = mixed.indemnity(i, pts)
+                want = _dense_layer_function(bps, slopes[i], pts)
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 1e-12 * max(top, 1.0))
+
+
+def test_solve_fixed_and_coverage_memory_bounded():
+    # A dense layers x states grid would need over 400 MB for its bool
+    # matrix alone at this size.
+    rng = np.random.default_rng(20000)
+    m, n = 20000, 30
+    shared = EmpiricalSpace.uniform(m)
+    beliefs = [shared] * (n - 2) + [_sparse_belief(rng, m, []) for _ in range(2)]
+    agents = [AgentSpec(b, single(rand_distortion(rng)),
+                        np.round(rng.pareto(2.5, m) * (rng.uniform(size=m) < 0.4), 3))
+              for b in beliefs]
+    S = aggregate_loss(agents)
+    tracemalloc.start()
+    try:
+        alloc, _ = solve_fixed(agents)
+        alloc.coverage(S)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert alloc.breakpoints.size > m // 2
+    assert peak < 64 * 2 ** 20
