@@ -70,20 +70,24 @@ class MeasureLPResult:
 
 def solve_measure_lp(space: EmpiricalSpace, endowments, distortions,
                      alpha: float) -> MeasureLPResult:
-    """Solve the layered measure problem with one auxiliary variable per
-    (agent, layer) pair.  Deterministic for fixed inputs."""
+    """Solve the layered measure problem on nested exceedance rows.
+
+    Agent i's exceedance sets shrink layer by layer, so R_ik = Q(X_i > b_k)
+    obeys the chain R_ik = R_i,k+1 + Q(X_i = b_k+1) with R_iL = 0.  Columns:
+    q, then R, then aux (one R and one aux per agent and layer).  The chains
+    and sum q = 1 are equality rows; aux_ik - R_ik <= 0 are inequality rows,
+    whose duals are the cession fractions.  O(n m) nonzeros; deterministic.
+    """
     xs, alpha = _check_inputs(space, endowments, distortions, alpha)
     n_states = space.state_count
-    blocks, lens_all, nus_all = [], [], []
+    lens_all, nus_all, levels = [], [], []
     for X, d in zip(xs, distortions):
         bps, surv = _layer_survivals(space, X)
-        # The LP's constraint rows are the dense exceedance indicators.
-        blocks.append((X[None, :] > bps[:-1, None]).astype(float))
         lens_all.append(np.diff(bps))
         nus_all.append(d(surv))
-    E = np.vstack(blocks) if blocks else np.zeros((0, n_states))
-    lens = np.concatenate(lens_all) if lens_all else np.zeros(0)
-    nus = np.concatenate(nus_all) if nus_all else np.zeros(0)
+        # State s sits on breakpoint level[s]: it lies in {X > b_k} iff k < level.
+        levels.append(np.searchsorted(bps, X))
+    lens, nus = np.concatenate(lens_all), np.concatenate(nus_all)
     n_aux = lens.size
     caps = space.weights / alpha
 
@@ -93,25 +97,40 @@ def solve_measure_lp(space: EmpiricalSpace, endowments, distortions,
         q *= 1.0 / q.sum()
         return MeasureLPResult(q, 0.0, tuple(np.zeros(0) for _ in xs))
 
-    cost = np.concatenate([np.zeros(n_states), -lens])
-    a_ub = sparse.hstack(
-        [sparse.csr_matrix(-E), sparse.eye(n_aux, format="csr")], format="csr")
+    # Equality row first_i + k: R_ik - R_i,k+1 - q(X_i = b_k+1) = 0, without
+    # R_i,k+1 on agent i's top layer; row n_aux: sum q = 1.
+    layer = np.arange(n_aux)
+    first = np.cumsum([0] + [v.size for v in lens_all])[:-1]
+    inner = np.setdiff1d(layer[:-1], first - 1)
+    r_col = n_states + layer
+    q_rows = np.concatenate([start + lv[lv > 0] - 1 for start, lv in zip(first, levels)])
+    q_cols = np.concatenate([np.flatnonzero(lv) for lv in levels])
+    n_cols = n_states + 2 * n_aux
     a_eq = sparse.csr_matrix(
-        np.concatenate([np.ones(n_states), np.zeros(n_aux)])[None, :])
-    bounds = [(0.0, float(c)) for c in caps] + [(0.0, float(v)) for v in nus]
+        (np.repeat([1.0, -1.0, 1.0], [n_aux, inner.size + q_rows.size, n_states]),
+         (np.concatenate([layer, inner, q_rows, np.full(n_states, n_aux)]),
+          np.concatenate([r_col, r_col[inner] + 1, q_cols, np.arange(n_states)]))),
+        shape=(n_aux + 1, n_cols))
+    a_ub = sparse.csr_matrix(
+        (np.repeat([1.0, -1.0], n_aux),
+         (np.tile(layer, 2), np.concatenate([r_col + n_aux, r_col]))),
+        shape=(n_aux, n_cols))
+    cost = np.concatenate([np.zeros(n_states + n_aux), -lens])
+    # R is free, not >= 0 (its chain sums q's): it stays basic, for fewer pivots.
+    bounds = np.column_stack([np.repeat([0.0, -np.inf, 0.0], [n_states, n_aux, n_aux]),
+                              np.concatenate([caps, np.full(n_aux, np.inf), nus])])
     res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(n_aux), A_eq=a_eq,
-                  b_eq=np.ones(1), bounds=bounds, method="highs")
+                  b_eq=np.append(np.zeros(n_aux), 1.0), bounds=bounds,
+                  method="highs")
     if not res.success:
         raise SolverError(f"measure LP failed: {res.message}")
-    log.debug("measure LP solved: %d states, %d layers, value %.6g",
-              n_states, n_aux, -res.fun)
+    log.debug("measure LP solved: %d states, %d layers, %d rows, %d columns, "
+              "%d nonzeros, HiGHS status %d, %d iterations, value %.6g",
+              n_states, n_aux, a_ub.shape[0] + a_eq.shape[0], n_cols,
+              a_ub.nnz + a_eq.nnz, res.status, res.nit, -res.fun)
     fractions = np.clip(-res.ineqlin.marginals / lens, 0.0, 1.0)
-    cession, at = [], 0
-    for lengths in lens_all:
-        cession.append(fractions[at:at + lengths.size].copy())
-        at += lengths.size
     return MeasureLPResult(res.x[:n_states].copy(), float(-res.fun),
-                           tuple(cession))
+                           tuple(np.split(fractions, first[1:])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,14 +180,11 @@ class CentralizedContract:
     def to_dict(self, labels=None) -> dict:
         labels = list(labels) if labels is not None else [
             f"agent_{i}" for i in range(self.agent_count)]
-        agents = []
-        for i, label in enumerate(labels):
-            agents.append({
-                "label": label,
-                "breakpoints": self.breakpoints[i].tolist(),
-                "slopes": self.slopes[i].tolist(),
-                "deductible": self.deductible(i),
-            })
+        agents = [{"label": label,
+                   "breakpoints": self.breakpoints[i].tolist(),
+                   "slopes": self.slopes[i].tolist(),
+                   "deductible": self.deductible(i)}
+                  for i, label in enumerate(labels)]
         return {
             "schema_version": 1,
             "alpha": self.alpha,

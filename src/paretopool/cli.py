@@ -274,10 +274,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _sorted_state_order(S: np.ndarray) -> np.ndarray:
-    return np.argsort(S, kind="stable")
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -360,7 +356,7 @@ def cmd_po_decentralized(args) -> int:
     _write_json(out / "market_report.json", rep)
 
     S = np.sum([a.endowment for a in agents], axis=0)
-    order = _sorted_state_order(S)
+    order = np.argsort(S, kind="stable")
     raw = alloc.profiles(S)          # g_i(S) + c_i
     norm = alloc.coverage(S)         # zero retention at zero aggregate loss
     header = ["rank", "state", "aggregate_loss"]
@@ -399,7 +395,7 @@ def cmd_po_centralized(args) -> int:
     _write_json(out / "welfare_centralized.json", welfare.to_dict(labels))
 
     S = np.sum(endowments, axis=0)
-    order = _sorted_state_order(S)
+    order = np.argsort(S, kind="stable")
     indemnities = contract.indemnity_profiles(space, endowments)
     header = ["rank", "state", "aggregate_loss"] + [f"retained_{l}" for l in labels]
     rows = []

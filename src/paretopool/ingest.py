@@ -68,15 +68,15 @@ class ParseReport:
     rejected: tuple[tuple[int, str], ...]
 
 
-def _month_range(first: tuple[int, int], last: tuple[int, int]):
-    months = []
-    y, m = first
-    while (y, m) <= last:
-        months.append((y, m))
-        m += 1
-        if m == 13:
-            y, m = y + 1, 1
-    return months
+def _assemble(sums: dict[tuple[int, int], dict[str, float]]) -> LossPanel:
+    """Months x agents panel of per-(month, agent) sums over every month from
+    the first to the last key; absent cells are zero losses."""
+    (y0, m0), (y1, m1) = min(sums), max(sums)
+    months = tuple((k // 12, k % 12 + 1) for k in range(12 * y0 + m0 - 1, 12 * y1 + m1))
+    agents = tuple(sorted({a for cell in sums.values() for a in cell}))
+    losses = np.array([[sums.get(month, {}).get(a, 0.0) for a in agents]
+                       for month in months])
+    return LossPanel(months, agents, losses)
 
 
 def _open_text(source):
@@ -131,21 +131,14 @@ def parse_losses(source, loss_column: str = DEFAULT_LOSS_COLUMN
             continue
         used += 1
         key = (date.year, date.month)
-        sums.setdefault(key, {})
-        sums[key][agent] = sums[key].get(agent, 0.0) + loss
+        cell = sums.setdefault(key, {})
+        cell[agent] = cell.get(agent, 0.0) + loss
     if not sums:
         # No usable rows is not a format error: rejections are reported,
         # and an empty body legitimately yields an empty panel.
         return (LossPanel((), (), np.zeros((0, 0))),
                 ParseReport(total, used, tuple(rejected)))
-    months = _month_range(min(sums), max(sums))
-    agents = tuple(sorted({a for cell in sums.values() for a in cell}))
-    losses = np.zeros((len(months), len(agents)))
-    for i, month in enumerate(months):
-        for j, agent in enumerate(agents):
-            losses[i, j] = sums.get(month, {}).get(agent, 0.0)
-    panel = LossPanel(tuple(months), agents, losses)
-    return panel, ParseReport(total, used, tuple(rejected))
+    return _assemble(sums), ParseReport(total, used, tuple(rejected))
 
 
 def to_space(panel: LossPanel) -> tuple[EmpiricalSpace, np.ndarray]:
@@ -242,14 +235,8 @@ def load_panel(source) -> LossPanel:
             raise FormatError(f"bad canonical row near line {reader.line_num}: {exc}")
         if not 1 <= key[1] <= 12 or loss < 0.0:
             raise FormatError(f"bad canonical row near line {reader.line_num}")
-        sums.setdefault(key, {})[row["agent"].strip()] = \
-            sums.get(key, {}).get(row["agent"].strip(), 0.0) + loss
+        cell, agent = sums.setdefault(key, {}), row["agent"].strip()
+        cell[agent] = cell.get(agent, 0.0) + loss
     if not sums:
         raise FormatError("no panel rows")
-    months = _month_range(min(sums), max(sums))
-    agents = tuple(sorted({a for cell in sums.values() for a in cell}))
-    losses = np.zeros((len(months), len(agents)))
-    for i, month in enumerate(months):
-        for j, agent in enumerate(agents):
-            losses[i, j] = sums.get(month, {}).get(agent, 0.0)
-    return LossPanel(tuple(months), agents, losses)
+    return _assemble(sums)

@@ -278,8 +278,8 @@ def side_payments(alloc: LayerAllocation, agents, weights=None) -> np.ndarray:
 
     with rho_i the agent's (robust) risk measure and w_i >= 0 summing to the
     total welfare gain W.  ``weights`` may be None or "equal" (w_i = W / n),
-    "last" (all of W to the last agent) or an explicit vector.
-    """
+    "last" (all of W to the last agent) or an explicit vector whose sum is
+    W within 1e-9 * max(1, |W|)."""
     _check_market(agents)
     n = len(agents)
     if alloc.agent_count != n:
@@ -306,7 +306,7 @@ def _resolve_weights(weights, total: float, n: int) -> np.ndarray:
         raise InvalidWeightsError(f"expected {n} weights, got shape {w.shape}")
     if np.any(w < 0.0):
         raise InvalidWeightsError("welfare weights must be non-negative")
-    if abs(float(np.sum(w)) - total) > 1e-9:
+    if abs(float(np.sum(w)) - total) > 1e-9 * max(1.0, abs(total)):
         raise InvalidWeightsError(
             f"weights sum to {float(np.sum(w))!r}, expected the welfare gain {total!r}")
     return w

@@ -1,11 +1,15 @@
 """Centralized insurance: measure LP, indemnities, Stackelberg premiums."""
 
+import logging
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from paretopool import (Distortion, EmpiricalSpace, build_indemnities,
-                        centralized_welfare, choquet, es, solve_centralized,
-                        solve_measure_lp, stackelberg_premiums)
+                        centralized, centralized_welfare, choquet, es,
+                        solve_centralized, solve_measure_lp,
+                        stackelberg_premiums)
 from paretopool.centralized import TIE_BAND
 from paretopool.errors import (DomainError, NoCessionWarning,
                                ProfileMismatchError)
@@ -73,6 +77,101 @@ def test_lp_input_validation():
         solve_measure_lp(sp, [], [], 0.5)
     with pytest.raises(DomainError):
         solve_measure_lp(sp, [np.array([0.0, -1.0])], ds, 0.5)
+
+
+def test_lp_nonzeros_linear_in_states_and_agents(monkeypatch):
+    # Each (agent, layer) adds at most four nonzeros (R_ik and R_i,k+1 in
+    # its chain row, aux_ik and R_ik in its cession row) and each state one
+    # per agent plus one in sum q = 1.  A dense exceedance block would hold
+    # about layers x states, here about 8e5.
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["A_ub"].nnz + kwargs["A_eq"].nnz)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(centralized, "linprog", spy)
+    rng = np.random.default_rng(48)
+    m, n = 400, 5
+    sp = EmpiricalSpace.uniform(m)
+    xs = [rng.uniform(1.0, 100.0, m) for _ in range(n)]
+    ds = [Distortion.kahneman_tversky(0.5), Distortion.power(0.6),
+          Distortion.prelec1(0.7), Distortion.tvar(0.3), Distortion.power(0.8)]
+    lp = solve_measure_lp(sp, xs, ds, 0.2)
+    layers = sum(np.unique(X).size for X in xs)
+    assert layers == n * m
+    assert len(seen) == 1
+    assert seen[0] <= 4 * layers + (n + 1) * m
+    assert [c.size for c in lp.cession] == [m] * n
+
+
+def dense_measure_lp(sp, xs, ds, alpha):
+    """Reference LP: one indicator row over all states per (agent, layer)."""
+    rows, lens, nus = [], [], []
+    for X, d in zip(xs, ds):
+        bps = np.unique(np.append(X, 0.0))
+        for lo, hi in zip(bps[:-1], bps[1:]):
+            above = X > lo
+            surv = 1.0 if above.all() else float(np.sum(sp.weights[above]))
+            rows.append(above.astype(float))
+            lens.append(hi - lo)
+            nus.append(float(d(surv)))
+    if not rows:
+        return 0.0
+    m, k = sp.state_count, len(rows)
+    res = linprog(np.concatenate([np.zeros(m), -np.array(lens)]),
+                  A_ub=np.hstack([-np.array(rows), np.eye(k)]), b_ub=np.zeros(k),
+                  A_eq=np.concatenate([np.ones(m), np.zeros(k)])[None, :],
+                  b_eq=[1.0],
+                  bounds=[(0.0, w / alpha) for w in sp.weights]
+                  + [(0.0, v) for v in nus], method="highs")
+    assert res.success
+    return float(-res.fun)
+
+
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
+def test_lp_matches_dense_reference_formulation():
+    rng = np.random.default_rng(49)
+    markets = []
+    for _ in range(40):
+        n_states = int(rng.integers(2, 8))
+        n_agents = int(rng.integers(1, 5))
+        sp = rand_space(rng, n_states)
+        xs = [rand_losses(rng, n_states) for _ in range(n_agents)]
+        ds = [rand_distortion(rng) for _ in range(n_agents)]
+        markets.append((sp, xs, ds, float(rng.uniform(0.08, 0.9))))
+    # An all-zero agent has no layers, no rows and an empty cession array.
+    sp = rand_space(rng, 5)
+    markets.append((sp, [np.zeros(5), np.array([0.0, 3.0, 1.0, 3.0, 7.0]),
+                         np.array([2.0, 0.0, 0.0, 5.0, 4.0])],
+                    [Distortion.power(0.5), Distortion.kahneman_tversky(0.6),
+                     Distortion.prelec1(0.7)], 0.3))
+    for sp, xs, ds, alpha in markets:
+        lp = solve_measure_lp(sp, xs, ds, alpha)
+        assert lp.value == pytest.approx(dense_measure_lp(sp, xs, ds, alpha),
+                                         rel=1e-9, abs=1e-12)
+        assert [c.size for c in lp.cession] == [
+            np.unique(np.append(X, 0.0)).size - 1 for X in xs]
+        contract = solve_centralized(sp, xs, ds, alpha)
+        welfare = centralized_welfare(sp, xs, ds, contract)
+        rho_sum = sum(choquet(sp, X, d) for X, d in zip(xs, ds))
+        assert welfare.aggregate_gain == pytest.approx(
+            rho_sum - contract.lp_value, abs=1e-9)
+    assert lp.cession[0].size == 0
+    assert lp.value > 0.0
+
+
+def test_lp_debug_log_reports_size_and_status(caplog):
+    sp, xs, ds = one_agent_instance()
+    with caplog.at_level(logging.DEBUG, logger="paretopool.centralized"):
+        solve_measure_lp(sp, xs, ds, 0.5)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "paretopool.centralized" and r.levelno == logging.DEBUG]
+    # One layer: a chain row, the sum row and a cession row over q (2),
+    # R and aux.
+    assert len(lines) == 1
+    assert "3 rows, 4 columns, 6 nonzeros, HiGHS status 0," in lines[0]
+    assert " iterations, value " in lines[0]
 
 
 # -- indemnity case logic -----------------------------------------------------

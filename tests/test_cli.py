@@ -256,6 +256,40 @@ def test_po_decentralized_weights_file(workdir):
     assert gains[2] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_po_decentralized_weights_file_at_flood_scale(tmp_path):
+    # 240 months x 10 agents of Pareto-tailed monthly losses in the
+    # thousands of dollars times 1000: the welfare gain W is about 1e8, so
+    # scaling proportions to W rounds by a few ulp(W) (about 3e-8), more
+    # than an absolute 1e-9 tolerance on the weights' sum allows.
+    rng = np.random.default_rng(2024)
+    labels = [f"A{j:02d}" for j in range(10)]
+    lines = ["dateOfLoss,state,amountPaid"]
+    for i in range(240):
+        for j, label in enumerate(labels):
+            amount = 1000.0 * 5e3 * (1.0 - rng.random()) ** (-1.0 / rng.uniform(1.5, 3.0))
+            lines.append(f"{1990 + i // 12:04d}-{i % 12 + 1:02d}-15,{label},{amount:.2f}")
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+    family = ("kahneman_tversky", "power")
+    cfg = base_config(agents=[
+        {"label": label, "distortions": [{"family": family[j % 2],
+                                          "params": {"gamma": round(0.4 + 0.05 * j, 2)}}]}
+        for j, label in enumerate(labels)])
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    for k in range(4):
+        props = np.round(rng.uniform(0.5, 2.0, len(labels)), 3)
+        wfile = tmp_path / f"w{k}.json"
+        wfile.write_text(json.dumps(props.tolist()))
+        out = tmp_path / f"dec_w{k}"
+        assert run(tmp_path, "po-decentralized", "--config", tmp_path / "config.json",
+                   "--data", tmp_path / "data.csv", "--out", out,
+                   "--weights", wfile) == 0
+        report = json.loads((out / "market_report.json").read_text())
+        total = report["total_welfare"]
+        assert total > 1e7
+        np.testing.assert_allclose(report["welfare_gains"],
+                                   total * props / props.sum(), rtol=1e-9)
+
+
 def test_po_decentralized_per_agent_belief(workdir):
     panel, _ = parse_losses(DATA_CSV)
     m = panel.month_count
