@@ -18,7 +18,7 @@ from .ingest import (LossPanel, correlation, parse_losses, summary_stats,
                      to_space)
 from .posolver import (AgentSpec, LayerAllocation, MarketReport,
                        aggregate_loss, layer_decomposition, prelec_deductible,
-                       side_payments, solve_fixed, solve_robust,
+                       settle, side_payments, solve_fixed, solve_robust,
                        welfare_report, with_side_payments)
 from .riskmeasure import (EmpiricalSpace, choquet, es, robust_drm, survival,
                           var)
@@ -47,6 +47,7 @@ __all__ = [
     "parse_losses",
     "prelec_deductible",
     "robust_drm",
+    "settle",
     "side_payments",
     "single",
     "solve_centralized",

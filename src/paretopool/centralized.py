@@ -19,8 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import DomainError, NoCessionWarning, ProfileMismatchError, SolverError
 from .riskmeasure import (EmpiricalSpace, _layer_function, _layer_table,
@@ -30,6 +28,34 @@ log = logging.getLogger(__name__)
 
 # Half-width of the tie band around Q* = nu in the indemnity case split.
 TIE_BAND = 1e-12
+
+
+def load_lp_solver() -> None:
+    """Import scipy's LP solver and sparse matrices now.
+
+    The measure LP imports scipy on first use, so commands that solve no LP
+    (``summary``, ``po-decentralized``) never load it.  Start threads that
+    solve LPs after this call: a package's first import should not run in
+    several threads at once.
+    """
+    import scipy.optimize  # noqa: F401
+    import scipy.sparse  # noqa: F401
+
+
+class _Linprog:
+    """``scipy.optimize.linprog``, imported on its first call.
+
+    An instance, not a function: a tracer that wraps every public function
+    of this module and also ``linprog`` (``perfbench/tracer.py``) would
+    otherwise time the HiGHS call twice, one span inside the other.
+    """
+
+    def __call__(self, *args, **kwargs):
+        from scipy.optimize import linprog as highs
+        return highs(*args, **kwargs)
+
+
+linprog = _Linprog()
 
 
 def _check_inputs(space, endowments, distortions, alpha):
@@ -79,6 +105,7 @@ def solve_measure_lp(space: EmpiricalSpace, endowments, distortions,
     whose duals are the cession fractions.  O(n m) nonzeros; deterministic.
     """
     xs, alpha = _check_inputs(space, endowments, distortions, alpha)
+    from scipy import sparse
     n_states = space.state_count
     lens_all, nus_all, levels = [], [], []
     for X, d in zip(xs, distortions):

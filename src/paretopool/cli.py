@@ -31,8 +31,7 @@ from . import ingest
 from .distortion import (PARAM_NAMES, POWER, TABULATED, Distortion,
                          DistortionSet, single, validate_params)
 from .errors import (ConfigError, FormatError, ParetopoolError)
-from .posolver import (TIE_TOL, AgentSpec, side_payments, solve_robust,
-                       welfare_report, with_side_payments)
+from .posolver import TIE_TOL, AgentSpec, settle, solve_robust, welfare_report
 from .riskmeasure import EmpiricalSpace
 
 log = logging.getLogger(__name__)
@@ -274,6 +273,15 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _ranked_rows(S: np.ndarray, columns: np.ndarray) -> list:
+    """Rows rank, state, S, columns[:, state] with states in stable S order."""
+    order = np.argsort(S, kind="stable")
+    table = np.vstack([S, columns]).T[order].tolist()
+    fmt = "{:.9g}".format
+    return [[rank, state, *map(fmt, values)]
+            for rank, (state, values) in enumerate(zip(order.tolist(), table))]
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -320,7 +328,7 @@ def _resolve_weights_arg(args, cfg: RunConfig):
     return vec
 
 
-def _welfare_weights(rule, total: float, n: int):
+def _welfare_weights(rule, total: float):
     """Translate a weight rule into absolute welfare shares summing to W.
 
     Explicit vectors are proportions: the user cannot know W in advance, so
@@ -339,11 +347,8 @@ def cmd_po_decentralized(args) -> int:
     labels = [a.label for a in cfg.agents]
     solution = solve_robust(agents, tie_tol=cfg.tie_tolerance)
     rule = _resolve_weights_arg(args, cfg)
-    base_report = welfare_report(agents, solution.allocation)
-    weights = _welfare_weights(rule, base_report.total_welfare, len(agents))
-    c = side_payments(solution.allocation, agents, weights)
-    alloc = with_side_payments(solution.allocation, c)
-    report = welfare_report(agents, alloc)
+    alloc, report = settle(agents, solution.allocation,
+                           lambda total: _welfare_weights(rule, total))
     out = _out_dir(args)
 
     payload = alloc.to_dict()
@@ -356,60 +361,51 @@ def cmd_po_decentralized(args) -> int:
     _write_json(out / "market_report.json", rep)
 
     S = np.sum([a.endowment for a in agents], axis=0)
-    order = np.argsort(S, kind="stable")
-    raw = alloc.profiles(S)          # g_i(S) + c_i
-    norm = alloc.coverage(S)         # zero retention at zero aggregate loss
     header = ["rank", "state", "aggregate_loss"]
     for label in labels:
         header += [f"retained_raw_{label}", f"retained_norm_{label}"]
-    rows = []
-    for rank, idx in enumerate(order):
-        row = [rank, int(idx), _fmt(S[idx])]
-        for i in range(len(labels)):
-            row += [_fmt(raw[i, idx]), _fmt(norm[i, idx])]
-        rows.append(row)
+    # g_i(S) + c_i, then the zero-retention-at-zero-loss g_i(S), per agent.
+    retained = np.stack([alloc.profiles(S), alloc.coverage(S)], axis=1)
+    rows = _ranked_rows(S, retained.reshape(2 * len(labels), -1))
     _write_csv(out / "retention_decentralized.csv", header, rows)
     print(f"total welfare gain {_fmt(report.total_welfare)}; outputs in {out}")
     return 0
 
 
-def _centralized_pieces(args):
+def _centralized_market(args):
+    """Config, labels, shared space, endowments, distortions and alpha of a
+    centralized command (po-centralized, stackelberg, sweep)."""
     cfg = load_config(args.config)
     dists = _require_plain_centralized(cfg)
     alpha = args.alpha if args.alpha is not None else cfg.alpha
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     loss_column = args.loss_column or cfg.loss_column
-    panel, space, agents = _load_market(cfg, args.data, loss_column)
+    _, space, agents = _load_market(cfg, args.data, loss_column)
     labels = [a.label for a in cfg.agents]
-    endowments = [a.endowment for a in agents]
-    contract = central.solve_centralized(space, endowments, dists, alpha)
-    return cfg, labels, space, endowments, dists, contract
+    return cfg, labels, space, [a.endowment for a in agents], dists, alpha
 
 
 def cmd_po_centralized(args) -> int:
-    _, labels, space, endowments, dists, contract = _centralized_pieces(args)
+    _, labels, space, endowments, dists, alpha = _centralized_market(args)
+    contract = central.solve_centralized(space, endowments, dists, alpha)
     welfare = central.centralized_welfare(space, endowments, dists, contract)
     out = _out_dir(args)
     _write_json(out / "contract.json", contract.to_dict(labels))
     _write_json(out / "welfare_centralized.json", welfare.to_dict(labels))
 
     S = np.sum(endowments, axis=0)
-    order = np.argsort(S, kind="stable")
     indemnities = contract.indemnity_profiles(space, endowments)
     header = ["rank", "state", "aggregate_loss"] + [f"retained_{l}" for l in labels]
-    rows = []
-    for rank, idx in enumerate(order):
-        rows.append([rank, int(idx), _fmt(S[idx])]
-                    + [_fmt(endowments[i][idx] - indemnities[i, idx])
-                       for i in range(len(labels))])
+    rows = _ranked_rows(S, np.asarray(endowments) - indemnities)
     _write_csv(out / "retention_centralized.csv", header, rows)
     print(f"aggregate welfare gain {_fmt(welfare.aggregate_gain)}; outputs in {out}")
     return 0
 
 
 def cmd_stackelberg(args) -> int:
-    _, labels, space, endowments, dists, contract = _centralized_pieces(args)
+    _, labels, space, endowments, dists, alpha = _centralized_market(args)
+    contract = central.solve_centralized(space, endowments, dists, alpha)
     premiums = central.stackelberg_premiums(space, endowments, dists, contract)
     welfare = central.centralized_welfare(space, endowments, dists, contract,
                                           premiums=premiums)
@@ -452,17 +448,13 @@ def sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha,
         pct = 100.0 * (cen - dec) / cen if cen != 0.0 else math.nan
         return (gamma, 1.0 - gamma, cen, dec, pct)
 
+    central.load_lp_solver()
     with ThreadPoolExecutor(max_workers=min(4, max(1, len(gammas)))) as pool:
         return list(pool.map(one, gammas))
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    _require_plain_centralized(cfg)
-    alpha = args.alpha if args.alpha is not None else cfg.alpha
-    loss_column = args.loss_column or cfg.loss_column
-    panel, space, agents = _load_market(cfg, args.data, loss_column)
-    labels = [a.label for a in cfg.agents]
+    cfg, labels, space, endowments, _, alpha = _centralized_market(args)
     if args.sweep_agent is None:
         sweep_index = len(labels) - 1
     elif args.sweep_agent in labels:
@@ -478,8 +470,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad sweep grid '{args.grid}'")
     if not gammas or any(g <= 0.0 for g in gammas):
         raise ConfigError("sweep grid needs positive gamma values")
-    endowments = [a.endowment for a in agents]
-    dist_sets = [a.distortions for a in agents]
+    dist_sets = [a.distortions for a in cfg.agents]
     rows = sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha,
                       cfg.tie_tolerance)
     out = _out_dir(args)

@@ -7,6 +7,13 @@ column (``amountPaid`` unless configured otherwise).  Claims are summed by
 calendar month and agent.  The panel spans every month between the first
 and last observed claim, so months without claims become genuine zero-loss
 states; with uniform weights the panel is an empirical probability space.
+
+``parse_losses`` reads the file in one streaming ``csv.reader`` pass and
+keeps no row: each distinct date text is parsed once, each distinct label
+stripped once, and the used rows become three flat lists (month key, agent
+id, loss) that one ``np.bincount`` sums into the panel.  It accepts and
+rejects exactly what a per-row ``csv.DictReader`` loop would, with the same
+reasons and line numbers.
 """
 
 from __future__ import annotations
@@ -68,21 +75,44 @@ class ParseReport:
     rejected: tuple[tuple[int, str], ...]
 
 
-def _assemble(sums: dict[tuple[int, int], dict[str, float]]) -> LossPanel:
-    """Months x agents panel of per-(month, agent) sums over every month from
-    the first to the last key; absent cells are zero losses."""
-    (y0, m0), (y1, m1) = min(sums), max(sums)
-    months = tuple((k // 12, k % 12 + 1) for k in range(12 * y0 + m0 - 1, 12 * y1 + m1))
-    agents = tuple(sorted({a for cell in sums.values() for a in cell}))
-    losses = np.array([[sums.get(month, {}).get(a, 0.0) for a in agents]
-                       for month in months])
-    return LossPanel(months, agents, losses)
+def _assemble(keys, agent_ids, losses, labels) -> LossPanel:
+    """Months x agents panel from per-row (month key, agent id, loss) lists.
+
+    A month key is 12 * year + month - 1 and ``labels[id]`` names an agent.
+    Every month from the first to the last key is a state and absent cells
+    are zero losses; agents without rows are dropped and the rest sorted by
+    label.  Rows of one cell are summed in input order by ``np.bincount``.
+    """
+    if not keys:
+        return LossPanel((), (), np.zeros((0, 0)))
+    keys = np.asarray(keys, dtype=np.int64)
+    ids = np.asarray(agent_ids, dtype=np.intp)
+    first = int(keys.min())
+    m = int(keys.max()) - first + 1
+    present = np.flatnonzero(np.bincount(ids, minlength=len(labels)))
+    order = sorted(present.tolist(), key=labels.__getitem__)
+    column = np.empty(len(labels), dtype=np.intp)
+    column[order] = np.arange(len(order))
+    sums = np.bincount((keys - first) * len(order) + column[ids],
+                       weights=losses, minlength=m * len(order))
+    months = tuple((k // 12, k % 12 + 1) for k in range(first, first + m))
+    return LossPanel(months, tuple(labels[i] for i in order),
+                     sums.reshape(m, len(order)))
 
 
 def _open_text(source):
     if isinstance(source, str):
         return io.StringIO(source)
     return source
+
+
+def _month_key(raw_date: str) -> int:
+    """12 * year + month - 1 of a leading ISO date, or -1 if it is invalid."""
+    try:
+        date = _dt.date.fromisoformat(raw_date.strip()[:10])
+    except ValueError:
+        return -1
+    return 12 * date.year + date.month - 1
 
 
 def parse_losses(source, loss_column: str = DEFAULT_LOSS_COLUMN
@@ -93,52 +123,71 @@ def parse_losses(source, loss_column: str = DEFAULT_LOSS_COLUMN
     unparseable date, an empty agent label, or a negative or non-numeric
     loss are skipped and reported; an empty loss cell counts as zero.
     Missing required columns abort with FormatError.
+
+    Rows are read as ``csv.DictReader`` reads them: blank lines are
+    skipped, a duplicated header name refers to its last column and cells
+    beyond a short row are empty.  A rejected row is reported with the
+    number of its last physical line.
     """
-    reader = csv.DictReader(_open_text(source))
-    header = reader.fieldnames
+    reader = csv.reader(_open_text(source))
+    header = next(reader, None)
     if header is None:
         raise FormatError("empty input: no header row")
     for needed in (DATE_COLUMN, AGENT_COLUMN, loss_column):
         if needed not in header:
             raise FormatError(f"missing required column '{needed}'")
-    sums: dict[tuple[int, int], dict[str, float]] = {}
-    total = used = 0
+    index = {name: j for j, name in enumerate(header)}
+    di, ai, li = index[DATE_COLUMN], index[AGENT_COLUMN], index[loss_column]
+    width = max(di, ai, li) + 1
+    # One pass, no row kept: month keys and agent ids are cached per raw
+    # cell text, and the used rows go to three flat lists.
+    month_of: dict[str, int] = {}
+    agent_of: dict[str, int] = {}
+    labels: dict[str, int] = {}
+    keys: list[int] = []
+    ids: list[int] = []
+    losses: list[float] = []
     rejected: list[tuple[int, str]] = []
     for row in reader:
-        total += 1
-        line = reader.line_num
-        raw_date = (row.get(DATE_COLUMN) or "").strip()
-        try:
-            date = _dt.date.fromisoformat(raw_date[:10])
-        except ValueError:
-            rejected.append((line, f"bad date {raw_date!r}"))
-            continue
-        agent = (row.get(AGENT_COLUMN) or "").strip()
-        if not agent:
-            rejected.append((line, "empty agent label"))
-            continue
-        raw_loss = (row.get(loss_column) or "").strip()
-        if raw_loss == "":
-            loss = 0.0
-        else:
-            try:
-                loss = float(raw_loss)
-            except ValueError:
-                rejected.append((line, f"non-numeric loss {raw_loss!r}"))
+        if len(row) < width:
+            if not row:
                 continue
-        if not math.isfinite(loss) or loss < 0.0:
-            rejected.append((line, f"invalid loss {loss!r}"))
+            row = row + [""] * (width - len(row))
+        raw = row[di]
+        key = month_of.get(raw)
+        if key is None:
+            key = month_of[raw] = _month_key(raw)
+        if key < 0:
+            rejected.append((reader.line_num, f"bad date {raw.strip()!r}"))
             continue
-        used += 1
-        key = (date.year, date.month)
-        cell = sums.setdefault(key, {})
-        cell[agent] = cell.get(agent, 0.0) + loss
-    if not sums:
-        # No usable rows is not a format error: rejections are reported,
-        # and an empty body legitimately yields an empty panel.
-        return (LossPanel((), (), np.zeros((0, 0))),
-                ParseReport(total, used, tuple(rejected)))
-    return _assemble(sums), ParseReport(total, used, tuple(rejected))
+        raw = row[ai]
+        agent = agent_of.get(raw)
+        if agent is None:
+            label = raw.strip()
+            agent = agent_of[raw] = labels.setdefault(label, len(labels)) if label else -1
+        if agent < 0:
+            rejected.append((reader.line_num, "empty agent label"))
+            continue
+        raw = row[li]
+        try:
+            loss = float(raw)
+        except ValueError:
+            # float() ignores the same surrounding whitespace as str.strip().
+            raw = raw.strip()
+            if raw:
+                rejected.append((reader.line_num, f"non-numeric loss {raw!r}"))
+                continue
+            loss = 0.0
+        if not 0.0 <= loss < math.inf:
+            rejected.append((reader.line_num, f"invalid loss {loss!r}"))
+            continue
+        keys.append(key)
+        ids.append(agent)
+        losses.append(loss)
+    # No usable rows is not a format error: rejections are reported, and an
+    # empty body legitimately yields an empty panel.
+    return (_assemble(keys, ids, losses, list(labels)),
+            ParseReport(len(keys) + len(rejected), len(keys), tuple(rejected)))
 
 
 def to_space(panel: LossPanel) -> tuple[EmpiricalSpace, np.ndarray]:
@@ -225,18 +274,18 @@ def load_panel(source) -> LossPanel:
     reader = csv.DictReader(_open_text(source))
     if reader.fieldnames is None or set(reader.fieldnames) != {"month", "agent", "loss"}:
         raise FormatError("canonical panel CSV needs columns month, agent, loss")
-    sums: dict[tuple[int, int], dict[str, float]] = {}
+    keys, ids, losses, labels = [], [], [], {}
     for row in reader:
         try:
             y, m = row["month"].split("-")
-            key = (int(y), int(m))
-            loss = float(row["loss"])
+            year, month, loss = int(y), int(m), float(row["loss"])
         except (ValueError, AttributeError) as exc:
             raise FormatError(f"bad canonical row near line {reader.line_num}: {exc}")
-        if not 1 <= key[1] <= 12 or loss < 0.0:
+        if not 1 <= month <= 12 or loss < 0.0:
             raise FormatError(f"bad canonical row near line {reader.line_num}")
-        cell, agent = sums.setdefault(key, {}), row["agent"].strip()
-        cell[agent] = cell.get(agent, 0.0) + loss
-    if not sums:
+        keys.append(12 * year + month - 1)
+        ids.append(labels.setdefault(row["agent"].strip(), len(labels)))
+        losses.append(loss)
+    if not keys:
         raise FormatError("no panel rows")
-    return _assemble(sums)
+    return _assemble(keys, ids, losses, list(labels))

@@ -280,16 +280,23 @@ def side_payments(alloc: LayerAllocation, agents, weights=None) -> np.ndarray:
     total welfare gain W.  ``weights`` may be None or "equal" (w_i = W / n),
     "last" (all of W to the last agent) or an explicit vector whose sum is
     W within 1e-9 * max(1, |W|)."""
-    _check_market(agents)
-    n = len(agents)
-    if alloc.agent_count != n:
-        raise ProfileMismatchError("allocation and agent list disagree on size")
+    return _payments(*_pre_trade_values(agents, alloc), weights)
+
+
+def _pre_trade_values(agents, alloc: LayerAllocation):
+    """rho_i(X_i) and rho_i(g_i(S)), the risks before side payments."""
     S = aggregate_loss(agents)
-    initial = _robust_values(agents, [a.endowment for a in agents])
-    post = _robust_values(agents, alloc.coverage(S))
-    total = float(np.sum(initial - post))
-    w = _resolve_weights(weights, total, n)
-    return initial - post - w
+    if alloc.agent_count != len(agents):
+        raise ProfileMismatchError("allocation and agent list disagree on size")
+    return (_robust_values(agents, [a.endowment for a in agents]),
+            _robust_values(agents, alloc.coverage(S)))
+
+
+def _payments(initial, pre, weights) -> np.ndarray:
+    total = float(np.sum(initial - pre))
+    if callable(weights):
+        weights = weights(total)
+    return initial - pre - _resolve_weights(weights, total, len(initial))
 
 
 def _resolve_weights(weights, total: float, n: int) -> np.ndarray:
@@ -343,8 +350,11 @@ def welfare_report(agents, alloc: LayerAllocation) -> MarketReport:
     """Evaluate initial and post-trade risk for a finished allocation."""
     _check_market(agents)
     S = aggregate_loss(agents)
-    initial = _robust_values(agents, [a.endowment for a in agents])
-    post = _robust_values(agents, alloc.profiles(S))
+    return _market_report(_robust_values(agents, [a.endowment for a in agents]),
+                          _robust_values(agents, alloc.profiles(S)))
+
+
+def _market_report(initial, post) -> MarketReport:
     gains = initial - post
     total = float(np.sum(gains))
     return MarketReport(
@@ -352,9 +362,25 @@ def welfare_report(agents, alloc: LayerAllocation) -> MarketReport:
         post_trade_values=post,
         welfare_gains=gains,
         total_welfare=total,
-        average_gain=total / len(agents),
+        average_gain=total / len(initial),
         optimum_value=float(np.sum(post)),
     )
+
+
+def settle(agents, alloc: LayerAllocation,
+           weights=None) -> tuple[LayerAllocation, MarketReport]:
+    """Attach side payments to an allocation and report the trade's welfare.
+
+    The same values as :func:`side_payments`, :func:`with_side_payments`
+    and :func:`welfare_report` of the result, with each agent's risk
+    evaluated once per profile: rho_i(X_i), rho_i(g_i(S)) and
+    rho_i(g_i(S) + c_i).  ``weights`` is what :func:`side_payments` takes,
+    or a function of the welfare gain W that returns it.
+    """
+    initial, pre = _pre_trade_values(agents, alloc)
+    settled = with_side_payments(alloc, _payments(initial, pre, weights))
+    post = _robust_values(agents, settled.profiles(aggregate_loss(agents)))
+    return settled, _market_report(initial, post)
 
 
 def prelec_deductible(space: EmpiricalSpace, S, distortions) -> float:

@@ -2,9 +2,12 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +17,13 @@ from paretopool import (AgentSpec, LayerAllocation, centralized_welfare,
                         solve_fixed, solve_robust, stackelberg_premiums,
                         summary_stats, to_space, welfare_report,
                         with_side_payments)
+import paretopool
 from paretopool.cli import load_config, main
 from paretopool.errors import ConfigError
+from paretopool.ingest import load_panel
+
+SRC = Path(paretopool.__file__).resolve().parents[1]
+SWEEP_PANEL = Path(__file__).resolve().parent / "data" / "sweep_panel.csv"
 
 DATA_CSV = """dateOfLoss,state,amountPaid
 2021-01-04,CA,120
@@ -229,6 +237,40 @@ def test_po_decentralized_outputs_and_roundtrip(workdir):
     assert np.all(np.diff(S) >= 0.0)
     # Raw and normalized retention columns per agent.
     assert len(rows[0]) == 3 + 2 * len(agents)
+
+
+def _per_cell_retention(S, columns) -> str:
+    """Retention CSV text written one formatted cell at a time."""
+    lines = []
+    for rank, idx in enumerate(np.argsort(S, kind="stable")):
+        cells = [str(rank), str(int(idx)), f"{float(S[idx]):.9g}"]
+        cells += [f"{float(col[idx]):.9g}" for col in columns]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_retention_csvs_match_per_cell_formatting(workdir):
+    space, cfg, agents = market_from(workdir)
+    S = np.sum([a.endowment for a in agents], axis=0)
+    assert run(workdir, "po-decentralized", "--config", workdir / "config.json",
+               "--data", workdir / "data.csv", "--weights", "last",
+               "--out", workdir / "dec") == 0
+    alloc = LayerAllocation.from_dict(
+        json.loads((workdir / "dec" / "allocation.json").read_text()))
+    raw, norm = alloc.profiles(S), alloc.coverage(S)
+    columns = [col for i in range(len(agents)) for col in (raw[i], norm[i])]
+    body = (workdir / "dec" / "retention_decentralized.csv").read_text()
+    assert body.split("\n", 1)[1] == _per_cell_retention(S, columns)
+
+    assert run(workdir, "po-centralized", "--config", workdir / "config.json",
+               "--data", workdir / "data.csv", "--out", workdir / "cen") == 0
+    endowments = [a.endowment for a in agents]
+    dists = [a.distortions[0] for a in agents]
+    contract = solve_centralized(space, endowments, dists, 0.25)
+    indemnities = contract.indemnity_profiles(space, endowments)
+    columns = [endowments[i] - indemnities[i] for i in range(len(agents))]
+    body = (workdir / "cen" / "retention_centralized.csv").read_text()
+    assert body.split("\n", 1)[1] == _per_cell_retention(S, columns)
 
 
 def test_po_decentralized_weights_last(workdir):
@@ -464,6 +506,14 @@ def test_sweep_multi_point_grid_order(workdir):
         assert float(r[1]) == pytest.approx(1.0 - float(r[0]), abs=1e-12)
 
 
+def test_sweep_alpha_out_of_range_is_config_error(workdir, capsys):
+    for alpha in ("1.5", "0"):
+        assert run(workdir, "sweep", "--config", workdir / "config.json",
+                   "--data", workdir / "data.csv", "--out", workdir / "x",
+                   "--grid", "0.5", "--alpha", alpha) == 4
+        assert "config error: alpha must lie in (0, 1)" in capsys.readouterr().err
+
+
 def test_sweep_rejects_non_power_agent(workdir):
     assert run(workdir, "sweep", "--config", workdir / "config.json",
                "--data", workdir / "data.csv", "--out", workdir / "x",
@@ -492,3 +542,61 @@ def test_module_entrypoint_subprocess(workdir):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.csv").exists()
+
+
+def _fresh_python(script: str, cwd) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          cwd=cwd, capture_output=True, text=True, env=env)
+
+
+def test_cli_import_and_po_decentralized_do_not_load_scipy(workdir):
+    proc = _fresh_python("""
+        import sys
+        import paretopool.cli as cli
+        assert "scipy" not in sys.modules, "import paretopool.cli loaded scipy"
+        code = cli.main(["po-decentralized", "--config", "config.json",
+                         "--data", "data.csv", "--out", "dec"])
+        assert code == 0, code
+        assert "scipy" not in sys.modules, "po-decentralized loaded scipy"
+        """, workdir)
+    assert proc.returncode == 0, proc.stderr
+    assert (workdir / "dec" / "market_report.json").exists()
+
+
+def test_sweep_fresh_process_on_sweep_panel(tmp_path):
+    """A cold sweep of the checked-in panel: scipy is loaded in the calling
+    thread before the pool's threads solve their first LPs."""
+    panel = load_panel(SWEEP_PANEL.read_text())
+    with open(tmp_path / "claims.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["dateOfLoss", "state", "amountPaid"])
+        for i, (y, m) in enumerate(panel.months):
+            for j, label in enumerate(panel.agents):
+                writer.writerow([f"{y:04d}-{m:02d}-15", label, repr(float(panel.losses[i, j]))])
+    families = [("kahneman_tversky", 0.4), ("kahneman_tversky", 0.5), ("power", 0.5)]
+    cfg = {"version": 1, "alpha": 0.15, "agents": [
+        {"label": label, "distortions": [{"family": f, "params": {"gamma": g}}]}
+        for label, (f, g) in zip(panel.agents, families)]}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    proc = _fresh_python("""
+        import sys
+        import paretopool.cli as cli
+
+        class Pool(cli.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                loaded = {"scipy.optimize", "scipy.sparse"} <= set(sys.modules)
+                print("scipy loaded at pool start:", loaded)
+                super().__init__(*args, **kwargs)
+
+        cli.ThreadPoolExecutor = Pool
+        sys.exit(cli.main(["sweep", "--config", "config.json", "--data", "claims.csv",
+                           "--grid", "0.3,0.4,0.5,0.6,0.65,0.7", "--out", "sw"]))
+        """, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "scipy loaded at pool start: True" in proc.stdout
+    rows = read_csv(tmp_path / "sw" / "sweep.csv")
+    assert len(rows) == 7
+    assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)

@@ -1,15 +1,20 @@
 """Claim CSV ingestion, panel statistics, canonical serialization."""
 
+import csv
+import datetime as dt
 import io
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from paretopool import (Distortion, LossPanel, choquet, correlation,
                         parse_losses, summary_stats, to_space)
 from paretopool.errors import DomainError, FormatError
-from paretopool.ingest import load_panel, write_panel
+from paretopool.ingest import ParseReport, load_panel, write_panel
 
 SIX_ROW_FIXTURE = """dateOfLoss,state,amountPaid
 2020-01-05,CA,100
@@ -101,6 +106,169 @@ def test_aggregation_is_row_order_independent():
         b, _ = parse_losses(SIX_ROW_FIXTURE)
         assert a.months == b.months and a.agents == b.agents
         assert np.array_equal(a.losses, b.losses)
+
+
+# -- parse_losses against the csv.DictReader parser it replaced ---------------
+
+
+def _dictreader_reference(text, loss_column="amountPaid"):
+    """The per-row csv.DictReader parser that parse_losses replaced, kept
+    as an oracle: (panel, report)."""
+    reader = csv.DictReader(io.StringIO(text))
+    header = reader.fieldnames
+    if header is None:
+        raise FormatError("empty input: no header row")
+    for needed in ("dateOfLoss", "state", loss_column):
+        if needed not in header:
+            raise FormatError(f"missing required column '{needed}'")
+    sums = {}
+    total = used = 0
+    rejected = []
+    for row in reader:
+        total += 1
+        line = reader.line_num
+        raw_date = (row.get("dateOfLoss") or "").strip()
+        try:
+            date = dt.date.fromisoformat(raw_date[:10])
+        except ValueError:
+            rejected.append((line, f"bad date {raw_date!r}"))
+            continue
+        agent = (row.get("state") or "").strip()
+        if not agent:
+            rejected.append((line, "empty agent label"))
+            continue
+        raw_loss = (row.get(loss_column) or "").strip()
+        if raw_loss == "":
+            loss = 0.0
+        else:
+            try:
+                loss = float(raw_loss)
+            except ValueError:
+                rejected.append((line, f"non-numeric loss {raw_loss!r}"))
+                continue
+        if not math.isfinite(loss) or loss < 0.0:
+            rejected.append((line, f"invalid loss {loss!r}"))
+            continue
+        used += 1
+        cell = sums.setdefault((date.year, date.month), {})
+        cell[agent] = cell.get(agent, 0.0) + loss
+    report = ParseReport(total, used, tuple(rejected))
+    if not sums:
+        return LossPanel((), (), np.zeros((0, 0))), report
+    (y0, m0), (y1, m1) = min(sums), max(sums)
+    months = tuple((k // 12, k % 12 + 1) for k in range(12 * y0 + m0 - 1, 12 * y1 + m1))
+    agents = tuple(sorted({a for cell in sums.values() for a in cell}))
+    losses = np.array([[sums.get(month, {}).get(a, 0.0) for a in agents]
+                       for month in months])
+    return LossPanel(months, agents, losses), report
+
+
+def _assert_matches_reference(text, loss_column="amountPaid"):
+    try:
+        expected, report = _dictreader_reference(text, loss_column)
+    except (FormatError, DomainError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            parse_losses(text, loss_column)
+        return
+    panel, got = parse_losses(text, loss_column)
+    assert got == report
+    assert panel.months == expected.months and panel.agents == expected.agents
+    assert panel.losses.shape == expected.losses.shape
+    assert panel.losses.tobytes() == expected.losses.tobytes()
+
+
+EDGE_CASES = {
+    "blank lines": ("dateOfLoss,state,amountPaid\n\n2020-01-05,CA,1\n\n\n"
+                    "bad,CA,2\n\n2020-03-01,TX,3\n\n"),
+    "short and long rows": ("dateOfLoss,state,amountPaid\n2020-01-05,CA\n"
+                            "2020-01-06\n2020-02-01,TX,4,extra,more\nx\n"),
+    "duplicated header": ("state,dateOfLoss,amountPaid,state\n"
+                          "XX,2020-01-05,1,CA\nXX,2020-01-06,2\n"
+                          "YY,2020-02-01,3,TX,9\n"),
+    "quoted newlines": ('dateOfLoss,state,amountPaid\n"2020-01-05",CA,"1\n"\n'
+                        '"2020-\n01-06",CA,2\n2020-01-07,"C\nA",3\n'
+                        '2020-01-08,"",4\n'),
+    "padded whitespace": ("dateOfLoss,state,amountPaid\n  2020-01-05 , CA ,  7 \n"
+                          "2020-01-06T12:00,CA\u00a0,\u20038\u2003\n"
+                          "\t2020-01-07,\tTX, \n"),
+    "bad dates": ("dateOfLoss,state,amountPaid\n2020-02-30,CA,1\n2020-13-01,CA,1\n"
+                  "20200105,CA,1\n2020-1-5,CA,1\n,CA,1\n  nope ,CA,1\n2020-01-05,CA,1\n"),
+    "empty labels": "dateOfLoss,state,amountPaid\n2020-01-05,,1\n2020-01-05,  ,1\n",
+    "losses": ("dateOfLoss,state,amountPaid\n2020-01-05,CA,\n2020-01-05,CA,abc\n"
+               "2020-01-05,CA,-3\n2020-01-05,CA,inf\n2020-01-05,CA,nan\n"
+               "2020-01-05,CA,-0\n2020-01-05,CA,1_000\n2020-01-05,CA,1e308\n"
+               "2020-01-05,TX,-inf\n2020-01-05,TX,0.1\n2020-01-05,TX,-0.0\n"),
+    "overflowing sum": "dateOfLoss,state,amountPaid\n2020-01-05,CA,1e308\n2020-01-09,CA,1e308\n",
+    "all rejected": "dateOfLoss,state,amountPaid\nbad,CA,1\n2020-01-05,,1\n\n",
+    "empty body": "dateOfLoss,state,amountPaid\n",
+    "blank header": "\ndateOfLoss,state,amountPaid\n2020-01-05,CA,1\n",
+    "missing column": "dateOfLoss,state\n2020-01-05,CA\n",
+    "empty input": "",
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_parse_losses_matches_dictreader_reference(case):
+    _assert_matches_reference(EDGE_CASES[case])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_parse_losses_matches_dictreader_reference_seeded(seed):
+    rng = np.random.default_rng(seed)
+    dates = [f"{y}-{m:02d}-{d:02d}" for y in (1999, 2000, 2024)
+             for m in (1, 2, 7, 12) for d in (1, 15, 28, 29, 30, 31)]
+    dates += ["", "bad", "2020-13-01", " 2001-05-05 ", "2001-05-05T00:00:00Z"]
+    labels = ["CA", "TX", " FL", "FL ", "", "ny"]
+    losses = [f"{v:.2f}" for v in rng.pareto(1.5, 50) * 1000] + [
+        "", "-1", "abc", "inf", "nan", "1e-320", "0", "-0.0"]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["id", "dateOfLoss", "state", "amountPaid", "other"])
+    for i in range(400):
+        row = [str(i), rng.choice(dates), rng.choice(labels), rng.choice(losses), "x"]
+        cut = rng.integers(0, 6)
+        writer.writerow(row[:cut] if rng.random() < 0.05 else row)
+    _assert_matches_reference(buf.getvalue())
+
+
+_DATES = st.sampled_from([
+    "2020-01-05", "2020-02-29", "2021-02-29", "1999-12-31", " 2000-06-01\t",
+    "2000-06-01T10:00", "20000601", "2000-6-1", "bad", ""])
+_LABELS = st.sampled_from(["CA", " TX ", "\u00a0FL", "a\nb", 'q"uote', "", "  "])
+_LOSSES = st.sampled_from([
+    "1", " 2.5 ", "", "-3", "inf", "nan", "1e308", "abc", "\u20031\u2003",
+    "1_0", "0", "-0", "7e-320", "0.1"])
+_COLUMNS = ["dateOfLoss", "state", "amountPaid", "other"]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(order=st.permutations(_COLUMNS),
+       duplicate=st.sampled_from([None, None, "dateOfLoss", "state", "amountPaid"]),
+       missing=st.sampled_from([None] * 6 + ["dateOfLoss", "state", "amountPaid"]),
+       rows=st.lists(st.tuples(_DATES, _LABELS, _LOSSES,
+                               st.one_of(st.just(None), st.integers(-1, 6))),
+                     max_size=30),
+       newline=st.sampled_from(["\n", "\r\n"]))
+def test_parse_losses_matches_dictreader_reference_generated(
+        order, duplicate, missing, rows, newline):
+    header = [c for c in order if c != missing] + ([duplicate] if duplicate else [])
+    last = {name: j for j, name in enumerate(header)}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=newline)
+    writer.writerow(header)
+    for date, label, loss, cut in rows:
+        if cut == -1:
+            writer.writerow([])          # a blank line
+            continue
+        value = {"dateOfLoss": date, "state": label, "amountPaid": loss, "other": "o"}
+        # Only the last column of a duplicated name carries the real value.
+        row = [value[name] if last[name] == j else "junk"
+               for j, name in enumerate(header)]
+        if cut is not None:
+            row = row[:cut] + ["extra"] * (cut - len(row))
+        writer.writerow(row)
+    _assert_matches_reference(buf.getvalue())
 
 
 # -- LossPanel ----------------------------------------------------------------

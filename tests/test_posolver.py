@@ -9,9 +9,10 @@ import pytest
 
 from paretopool import (AgentSpec, Distortion, DistortionSet, EmpiricalSpace,
                         LayerAllocation, aggregate_loss, choquet,
-                        layer_decomposition, prelec_deductible, side_payments,
-                        single, solve_fixed, solve_robust, var,
+                        layer_decomposition, prelec_deductible, settle,
+                        side_payments, single, solve_fixed, solve_robust, var,
                         welfare_report, with_side_payments)
+from paretopool import posolver
 from paretopool.centralized import CentralizedContract, build_indemnities
 from paretopool.errors import (DomainError, InvalidWeightsError,
                                ProfileMismatchError, ResourceLimitError,
@@ -242,6 +243,50 @@ def test_side_payments_equal_split_example():
     assert report.welfare_gains == pytest.approx(
         [0.3982728110640904, 0.3982728110640904], abs=1e-9)
     assert report.optimum_value == pytest.approx(value, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("rule", ["equal", "last", "proportions"])
+def test_settle_matches_side_payments_then_welfare_report(monkeypatch, seed, rule):
+    rng = np.random.default_rng(900 + seed)
+    n = 4
+    agents = rand_agents(rng, 7, n, candidates=2)
+    alloc = solve_robust(agents).allocation
+    if rule == "proportions":
+        share = rng.random(n) + 0.1
+        weights = lambda total: total * share / share.sum()  # noqa: E731
+        expected_w = weights(welfare_report(agents, alloc).total_welfare)
+    else:
+        weights = expected_w = rule
+    c = side_payments(alloc, agents, expected_w)
+    expected = welfare_report(agents, with_side_payments(alloc, c))
+
+    calls = []
+    original = posolver.robust_drm
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(posolver, "robust_drm", counting)
+    settled, report = settle(agents, alloc, weights)
+    # rho_i(X_i), rho_i(g_i(S)) and rho_i(g_i(S) + c_i), once each.
+    assert len(calls) == 3 * n
+    assert settled.side_payments.tobytes() == c.tobytes()
+    assert np.array_equal(settled.slopes, alloc.slopes)
+    for field in ("initial_values", "post_trade_values", "welfare_gains"):
+        assert getattr(report, field).tobytes() == getattr(expected, field).tobytes()
+    assert report.total_welfare == expected.total_welfare
+    assert report.average_gain == expected.average_gain
+    assert report.optimum_value == expected.optimum_value
+
+
+def test_settle_validates_sizes():
+    agents = two_power_agents()
+    alloc, _ = solve_fixed(agents)
+    with pytest.raises(ProfileMismatchError):
+        settle(agents[:1], alloc)
+    with pytest.raises(InvalidWeightsError):
+        settle(agents, alloc, lambda total: [total, total])
 
 
 def test_side_payments_weight_rules():
