@@ -277,14 +277,17 @@ def stackelberg_premiums(space: EmpiricalSpace, endowments, distortions,
 
         pi_i = rho_i(X_i) - rho_i(X_i - I_i(X_i))
 
-    so the whole welfare gain accrues to the insurer.
+    so the whole welfare gain accrues to the insurer: each premium is the
+    agent's gross gain in :func:`centralized_welfare`, bit for bit.
     """
     xs, _ = _check_inputs(space, endowments, distortions, contract.alpha)
-    out = np.empty(len(xs))
-    for i, (X, d) in enumerate(zip(xs, distortions)):
-        retained = X - contract.indemnity(i, X)
-        out[i] = choquet(space, X, d) - choquet(space, retained, d)
-    return out
+    return _gross_gains(space, xs, distortions, contract.indemnity_profiles(space, xs))
+
+
+def _gross_gains(space, xs, distortions, indemnities) -> np.ndarray:
+    """rho_i(X_i) - rho_i(X_i - I_i(X_i)) per agent."""
+    return np.array([choquet(space, X, d) - choquet(space, X - I, d)
+                     for X, d, I in zip(xs, distortions, indemnities)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,9 +330,7 @@ def centralized_welfare(space: EmpiricalSpace, endowments, distortions,
     """Evaluate gains for policyholders and the expected-shortfall insurer."""
     xs, alpha = _check_inputs(space, endowments, distortions, contract.alpha)
     indemnities = contract.indemnity_profiles(space, xs)
-    gross = np.empty(len(xs))
-    for i, (X, d) in enumerate(zip(xs, distortions)):
-        gross[i] = choquet(space, X, d) - choquet(space, X - indemnities[i], d)
+    gross = _gross_gains(space, xs, distortions, indemnities)
     pool = indemnities.sum(axis=0)
     insurer_risk = es(space, pool, alpha)
     aggregate = float(np.sum(gross) - insurer_risk)

@@ -30,8 +30,9 @@ from . import centralized as central
 from . import ingest
 from .distortion import (PARAM_NAMES, POWER, TABULATED, Distortion,
                          DistortionSet, single, validate_params)
-from .errors import (ConfigError, FormatError, ParetopoolError)
-from .posolver import TIE_TOL, AgentSpec, settle, solve_robust, welfare_report
+from .errors import ConfigError, DomainError, FormatError, ParetopoolError
+from .posolver import (TIE_TOL, AgentSpec, aggregate_loss, settle, solve_robust,
+                       welfare_report)
 from .riskmeasure import EmpiricalSpace
 
 log = logging.getLogger(__name__)
@@ -44,6 +45,7 @@ _TOP_KEYS = {"version", "alpha", "weights", "loss_column", "tolerances", "agents
 _AGENT_KEYS = {"label", "distortions", "belief", "endowment_column"}
 _DIST_KEYS = {"family", "params"}
 _TOL_KEYS = {"tie"}
+_WEIGHT_RULES = ("equal", "last")
 
 
 @dataclass(frozen=True)
@@ -103,9 +105,10 @@ def _distortion_from_record(rec, where: str) -> Distortion:
     return Distortion(family, values, knots)
 
 
-def _weights_from_value(value, where: str):
+def _weights_from_value(value, where: str, n: int):
+    """A weight rule name, or n non-negative proportions with a positive sum."""
     if isinstance(value, str):
-        if value in ("equal", "last"):
+        if value in _WEIGHT_RULES:
             return value
         raise ConfigError(f"{where}: weight rule must be 'equal', 'last' or a vector")
     if isinstance(value, list):
@@ -113,22 +116,28 @@ def _weights_from_value(value, where: str):
             vec = tuple(float(v) for v in value)
         except (TypeError, ValueError):
             raise ConfigError(f"{where}: weight vector must be numeric")
-        if not vec or any(v < 0.0 for v in vec) or sum(vec) <= 0.0:
+        if len(vec) != n:
+            raise ConfigError(f"{where}: {len(vec)} weights for {n} agents")
+        if any(v < 0.0 for v in vec) or sum(vec) <= 0.0:
             raise ConfigError(f"{where}: weight proportions must be non-negative "
                               "with a positive sum")
         return vec
     raise ConfigError(f"{where}: unsupported weights value {value!r}")
 
 
+def _read_json(path: Path, what: str):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}")
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file (fail-fast)."""
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+    payload = _read_json(path, "config")
     if not isinstance(payload, dict):
         raise ConfigError("config root must be an object")
     _require_keys(payload, _TOP_KEYS, "config")
@@ -137,7 +146,6 @@ def load_config(path) -> RunConfig:
     alpha = float(payload.get("alpha", DEFAULT_ALPHA))
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    weights = _weights_from_value(payload.get("weights", "equal"), "config.weights")
     loss_column = payload.get("loss_column", ingest.DEFAULT_LOSS_COLUMN)
     if not isinstance(loss_column, str) or not loss_column:
         raise ConfigError("loss_column must be a non-empty string")
@@ -184,9 +192,7 @@ def load_config(path) -> RunConfig:
         if not isinstance(column, str) or not column:
             raise ConfigError(f"{where}: endowment_column must be a non-empty string")
         agents.append(AgentConfig(label, dset, belief_file, column))
-    if isinstance(weights, tuple) and len(weights) != len(agents):
-        raise ConfigError(
-            f"weight vector has {len(weights)} entries for {len(agents)} agents")
+    weights = _weights_from_value(payload.get("weights", "equal"), "config.weights", len(agents))
     return RunConfig(tuple(agents), alpha, weights, loss_column, tie, path.parent)
 
 
@@ -196,28 +202,38 @@ def load_config(path) -> RunConfig:
 def _load_belief(cfg: RunConfig, agent: AgentConfig, m: int) -> EmpiricalSpace | None:
     if agent.belief_file is None:
         return None
-    path = Path(agent.belief_file)
-    if not path.is_absolute():
-        path = cfg.base_dir / path
+    path = cfg.base_dir / agent.belief_file      # an absolute file stays as it is
     try:
         values = [float(line) for line in path.read_text().split()]
     except (OSError, ValueError) as exc:
         raise ConfigError(f"belief file {path}: {exc}")
     if len(values) != m:
-        raise ConfigError(
-            f"belief file {path} has {len(values)} weights for {m} months")
+        raise ConfigError(f"belief file {path} has {len(values)} weights for {m} months")
     try:
         return EmpiricalSpace(np.array(values))
     except ParetopoolError as exc:
         raise ConfigError(f"belief file {path}: {exc}")
 
 
-def _load_market(cfg: RunConfig, data_path, loss_column: str):
-    with open(data_path, "r", encoding="utf-8", newline="") as fh:
-        panel, report = ingest.parse_losses(fh, loss_column)
+def _read_panel(path, loss_column: str) -> ingest.LossPanel:
+    """The monthly panel of a claims CSV; text that is not UTF-8, an
+    overflowing cell sum or no usable claim row is a format error."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            panel, report = ingest.parse_losses(fh, loss_column)
+        except (DomainError, UnicodeDecodeError) as exc:
+            raise FormatError(f"{path}: {exc}") from exc
     log.info("parsed %d claim rows (%d used, %d rejected) into %d months x %d agents",
              report.total_rows, report.used_rows, len(report.rejected),
              panel.month_count, len(panel.agents))
+    if not report.used_rows:
+        first = "; the first at line %d: %s" % report.rejected[0] if report.rejected else ""
+        raise FormatError(f"{path}: no usable claim rows, {len(report.rejected)} rejected{first}")
+    return panel
+
+
+def _load_market(args, cfg: RunConfig):
+    panel = _read_panel(args.data, args.loss_column or cfg.loss_column)
     shared, _ = ingest.to_space(panel)
     agents = []
     for acfg in cfg.agents:
@@ -229,7 +245,7 @@ def _load_market(cfg: RunConfig, data_path, loss_column: str):
                 f"(available: {list(panel.agents)})")
         belief = _load_belief(cfg, acfg, panel.month_count) or shared
         agents.append(AgentSpec(belief, acfg.distortions, profile))
-    return panel, shared, agents
+    return shared, agents
 
 
 def _require_plain_centralized(cfg: RunConfig) -> list[Distortion]:
@@ -250,8 +266,8 @@ def _require_plain_centralized(cfg: RunConfig) -> list[Distortion]:
 # -- output helpers ----------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.9g}"
+# Every CSV float: 9 significant digits.
+_fmt = "{:.9g}".format
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -277,8 +293,7 @@ def _ranked_rows(S: np.ndarray, columns: np.ndarray) -> list:
     """Rows rank, state, S, columns[:, state] with states in stable S order."""
     order = np.argsort(S, kind="stable")
     table = np.vstack([S, columns]).T[order].tolist()
-    fmt = "{:.9g}".format
-    return [[rank, state, *map(fmt, values)]
+    return [[rank, state, *map(_fmt, values)]
             for rank, (state, values) in enumerate(zip(order.tolist(), table))]
 
 
@@ -287,11 +302,8 @@ def _ranked_rows(S: np.ndarray, columns: np.ndarray) -> list:
 
 def cmd_summary(args) -> int:
     cfg = load_config(args.config) if args.config else None
-    loss_column = args.loss_column or (cfg.loss_column if cfg else ingest.DEFAULT_LOSS_COLUMN)
-    with open(args.data, "r", encoding="utf-8", newline="") as fh:
-        panel, report = ingest.parse_losses(fh, loss_column)
-    log.info("summary over %d months, %d agents (%d rows rejected)",
-             panel.month_count, len(panel.agents), len(report.rejected))
+    panel = _read_panel(args.data, args.loss_column or (
+        cfg.loss_column if cfg else ingest.DEFAULT_LOSS_COLUMN))
     out = _out_dir(args)
     stats = ingest.summary_stats(panel)
     header = ["statistic"] + list(panel.agents)
@@ -308,47 +320,28 @@ def cmd_summary(args) -> int:
 
 
 def _resolve_weights_arg(args, cfg: RunConfig):
-    if args.weights is None:
-        return cfg.weights
-    if args.weights in ("equal", "last"):
-        return args.weights
-    path = Path(args.weights)
-    try:
-        value = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read weights file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"weights file is not valid JSON: {exc}")
-    if not isinstance(value, list):
-        raise ConfigError("weights file must hold a JSON array of proportions")
-    vec = _weights_from_value(value, str(path))
-    if len(vec) != len(cfg.agents):
-        raise ConfigError(
-            f"weights file has {len(vec)} entries for {len(cfg.agents)} agents")
-    return vec
-
-
-def _welfare_weights(rule, total: float):
-    """Translate a weight rule into absolute welfare shares summing to W.
-
-    Explicit vectors are proportions: the user cannot know W in advance, so
-    they are scaled to sum to it.
-    """
-    if isinstance(rule, tuple):
-        vec = np.asarray(rule, dtype=float)
-        return total * vec / vec.sum()
-    return rule
+    """A weight rule for :func:`settle`, or proportions scaled to the welfare
+    gain W, which the user cannot know in advance."""
+    value = cfg.weights
+    if args.weights in _WEIGHT_RULES:
+        value = args.weights
+    elif args.weights is not None:     # a JSON file
+        path = Path(args.weights)
+        value = _weights_from_value(_read_json(path, "weights file"), str(path),
+                                    len(cfg.agents))
+    if isinstance(value, str):
+        return value
+    p = np.asarray(value, dtype=float)
+    return lambda W: W * p / p.sum()
 
 
 def cmd_po_decentralized(args) -> int:
     cfg = load_config(args.config)
-    loss_column = args.loss_column or cfg.loss_column
-    panel, _, agents = _load_market(cfg, args.data, loss_column)
+    weights = _resolve_weights_arg(args, cfg)
+    _, agents = _load_market(args, cfg)
     labels = [a.label for a in cfg.agents]
     solution = solve_robust(agents, tie_tol=cfg.tie_tolerance)
-    rule = _resolve_weights_arg(args, cfg)
-    alloc, report = settle(agents, solution.allocation,
-                           lambda total: _welfare_weights(rule, total))
+    alloc, report = settle(agents, solution.allocation, weights)
     out = _out_dir(args)
 
     payload = alloc.to_dict()
@@ -360,7 +353,7 @@ def cmd_po_decentralized(args) -> int:
     rep["solver_value"] = solution.value
     _write_json(out / "market_report.json", rep)
 
-    S = np.sum([a.endowment for a in agents], axis=0)
+    S = aggregate_loss(agents)
     header = ["rank", "state", "aggregate_loss"]
     for label in labels:
         header += [f"retained_raw_{label}", f"retained_norm_{label}"]
@@ -380,8 +373,7 @@ def _centralized_market(args):
     alpha = args.alpha if args.alpha is not None else cfg.alpha
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    loss_column = args.loss_column or cfg.loss_column
-    _, space, agents = _load_market(cfg, args.data, loss_column)
+    space, agents = _load_market(args, cfg)
     labels = [a.label for a in cfg.agents]
     return cfg, labels, space, [a.endowment for a in agents], dists, alpha
 
@@ -566,10 +558,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4
-    except FormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ParetopoolError as exc:

@@ -47,8 +47,11 @@ class LossPanel:
         arr = np.array(self.losses, dtype=float)
         if arr.shape != (len(self.months), len(self.agents)):
             raise DomainError("loss matrix shape must be months x agents")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise DomainError("losses must be finite and non-negative")
+        bad = np.argwhere(~(np.isfinite(arr) & (arr >= 0.0)))
+        if bad.size:
+            i, j = bad[0]
+            raise DomainError("losses must be finite and non-negative: agent %r has %r in month "
+                              "%04d-%02d" % (self.agents[j], float(arr[i, j]), *self.months[i]))
         if any(b <= a for a, b in zip(self.months, self.months[1:])):
             raise DomainError("months must be strictly increasing")
         arr.setflags(write=False)
@@ -270,7 +273,8 @@ def write_panel(panel: LossPanel, stream) -> None:
 
 
 def load_panel(source) -> LossPanel:
-    """Read a canonical (month, agent, loss) CSV back into a panel."""
+    """Read a canonical (month, agent, loss) CSV back into a panel; any bad
+    row, cell or overflowing cell sum raises FormatError."""
     reader = csv.DictReader(_open_text(source))
     if reader.fieldnames is None or set(reader.fieldnames) != {"month", "agent", "loss"}:
         raise FormatError("canonical panel CSV needs columns month, agent, loss")
@@ -279,13 +283,18 @@ def load_panel(source) -> LossPanel:
         try:
             y, m = row["month"].split("-")
             year, month, loss = int(y), int(m), float(row["loss"])
-        except (ValueError, AttributeError) as exc:
-            raise FormatError(f"bad canonical row near line {reader.line_num}: {exc}")
-        if not 1 <= month <= 12 or loss < 0.0:
-            raise FormatError(f"bad canonical row near line {reader.line_num}")
+            agent = row["agent"].strip()
+        except (ValueError, AttributeError, TypeError) as exc:
+            reason = "missing cells" if None in row.values() else exc
+            raise FormatError(f"bad canonical row near line {reader.line_num}: {reason}")
+        if not 1 <= month <= 12 or not 0.0 <= loss < math.inf:
+            raise FormatError(f"bad canonical row near line {reader.line_num}: out of range")
         keys.append(12 * year + month - 1)
-        ids.append(labels.setdefault(row["agent"].strip(), len(labels)))
+        ids.append(labels.setdefault(agent, len(labels)))
         losses.append(loss)
     if not keys:
         raise FormatError("no panel rows")
-    return _assemble(keys, ids, losses, list(labels))
+    try:
+        return _assemble(keys, ids, losses, list(labels))
+    except DomainError as exc:
+        raise FormatError(str(exc)) from exc

@@ -529,6 +529,60 @@ def test_sweep_rejects_unknown_agent_and_bad_grid(workdir):
     assert main(base + ["--grid", ""]) == 4
 
 
+# -- bad claim input and weight vectors: one reader, one exit code each ---------
+
+
+MARKET_COMMANDS = [["summary"], ["po-decentralized"], ["stackelberg"],
+                   ["sweep", "--grid", "0.5"]]
+BAD_CLAIMS = {
+    # Two finite claims of one cell whose sum overflows to inf.
+    "overflowing cell": (DATA_CSV + "2021-03-01,CA,1e308\n2021-03-02,CA,1e308\n",
+                         "losses must be finite and non-negative: agent 'CA' has inf "
+                         "in month 2021-03"),
+    "empty body": ("dateOfLoss,state,amountPaid\n", "no usable claim rows, 0 rejected"),
+    "every row rejected": ("dateOfLoss,state,amountPaid\n2021-01-04,,5\nsoon,CA,1\n",
+                           "no usable claim rows, 2 rejected; "
+                           "the first at line 2: empty agent label"),
+}
+
+
+@pytest.mark.parametrize("command", MARKET_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("case", sorted(BAD_CLAIMS))
+def test_bad_claim_input_is_input_error(workdir, capsys, command, case):
+    text, message = BAD_CLAIMS[case]
+    data = workdir / "bad.csv"
+    data.write_text(text)
+    assert run(workdir, *command, "--config", workdir / "config.json",
+               "--data", data, "--out", workdir / "x") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {data}: ")
+    assert message in err
+    assert not (workdir / "x").exists()
+
+
+def test_claims_that_are_not_utf8_are_input_error(workdir, capsys):
+    data = workdir / "latin1.csv"
+    data.write_bytes("dateOfLoss,state,amountPaid\n2021-01-04,Cé,5\n".encode("latin-1"))
+    assert run(workdir, "summary", "--data", data, "--out", workdir / "x") == 2
+    assert capsys.readouterr().err.startswith(f"input error: {data}: 'utf-8' codec")
+
+
+def test_wrong_length_weights_are_config_errors_from_one_validator(workdir, capsys):
+    (workdir / "short.json").write_text(json.dumps(base_config(weights=[1.0, 2.0])))
+    assert run(workdir, "po-decentralized", "--config", workdir / "short.json",
+               "--data", workdir / "data.csv", "--out", workdir / "x") == 4
+    from_config = capsys.readouterr().err
+    wfile = workdir / "w.json"
+    wfile.write_text("[1, 2]")
+    assert run(workdir, "po-decentralized", "--config", workdir / "config.json",
+               "--data", workdir / "data.csv", "--out", workdir / "x",
+               "--weights", wfile) == 4
+    from_file = capsys.readouterr().err
+    assert from_config == "config error: config.weights: 2 weights for 3 agents\n"
+    assert from_file == f"config error: {wfile}: 2 weights for 3 agents\n"
+    assert not (workdir / "x").exists()
+
+
 # -- process-level entry ------------------------------------------------------
 
 

@@ -400,6 +400,26 @@ def test_panel_roundtrip_preserves_floats_bitwise():
     assert np.array_equal(clone.losses, losses)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("month,agent,loss\n2020-01\n", "line 2: missing cells"),
+    ("month,agent,loss\n2020-01,A\n", "line 2: missing cells"),
+    ("month,agent,loss\n2020-01,A,nan\n", "line 2: out of range"),
+    ("month,agent,loss\n2020-01,A,inf\n", "line 2: out of range"),
+    ("month,agent,loss\n2020-01,A,1e308\n2020-01,A,1e308\n",
+     "agent 'A' has inf in month 2020-01"),
+])
+def test_load_panel_raises_only_format_error(text, message):
+    with pytest.raises(FormatError, match=re.escape(message)):
+        load_panel(text)
+
+
+def test_panel_validation_names_the_first_bad_cell():
+    losses = np.array([[1.0, 2.0], [3.0, -1.0], [np.nan, 0.0]])
+    with pytest.raises(DomainError, match=re.escape(
+            "losses must be finite and non-negative: agent 'B' has -1.0 in month 2020-12")):
+        LossPanel(((2020, 11), (2020, 12), (2021, 1)), ("A", "B"), losses)
+
+
 def test_load_panel_rejects_wrong_schema():
     with pytest.raises(FormatError):
         load_panel("month,agent\n2020-01,A\n")
