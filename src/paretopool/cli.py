@@ -29,7 +29,7 @@ import numpy as np
 from . import centralized as central
 from . import ingest
 from .distortion import (PARAM_NAMES, POWER, TABULATED, Distortion,
-                         DistortionSet, single, validate_params)
+                         DistortionSet, single)
 from .errors import ConfigError, DomainError, FormatError, ParetopoolError
 from .posolver import (TIE_TOL, AgentSpec, aggregate_loss, settle, solve_robust,
                        welfare_report)
@@ -66,43 +66,55 @@ class RunConfig:
     base_dir: Path
 
 
-def _require_keys(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
+def _object(value, allowed, where: str) -> dict:
+    """A JSON object whose keys all lie in ``allowed``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: must be an object")
+    unknown = set(value) - set(allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    return value
+
+
+def _text(value, where: str) -> str:
+    """A non-empty JSON string."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where}: must be a non-empty string")
+    return value
+
+
+def _real(value, where: str) -> float:
+    """A finite JSON number; booleans, strings, NaN and Infinity are refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{where}: must be a finite number, got {json.dumps(value)}")
+    return float(value)
 
 
 def _distortion_from_record(rec, where: str) -> Distortion:
-    if not isinstance(rec, dict):
-        raise ConfigError(f"{where}: distortion record must be an object")
-    _require_keys(rec, _DIST_KEYS, where)
-    family = rec.get("family")
-    if not isinstance(family, str):
-        raise ConfigError(f"{where}: missing family name")
-    params = rec.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{where}: params must be an object")
+    """A distortion from its config record; the Distortion constructor is the
+    only range check, and its message follows ``where``."""
+    rec = _object(rec, _DIST_KEYS, where)
+    family = _text(rec.get("family"), f"{where}.family")
+    if family not in PARAM_NAMES:
+        raise ConfigError(f"{where}: unknown family '{family}'")
+    names = ("knots",) if family == TABULATED else PARAM_NAMES[family]
+    params = _object(rec.get("params", {}), names, f"{where}.params")
     if family == TABULATED:
-        if set(params) != {"knots"}:
-            raise ConfigError(f"{where}: tabulated takes exactly the 'knots' param")
-        knots = tuple((float(t), float(v)) for t, v in params["knots"])
-        values: tuple[float, ...] = ()
+        pairs = params.get("knots")
+        if not isinstance(pairs, list) or not all(
+                isinstance(p, list) and len(p) == 2 for p in pairs):
+            raise ConfigError(f"{where}.params.knots: must be a list of [t, T(t)] pairs")
+        values, knots = (), tuple((_real(t, f"{where}.params.knots[{j}][0]"),
+                                   _real(v, f"{where}.params.knots[{j}][1]"))
+                                  for j, (t, v) in enumerate(pairs))
     else:
-        names = PARAM_NAMES.get(family)
-        if names is None:
-            raise ConfigError(f"{where}: unknown family '{family}'")
-        if set(params) != set(names):
-            raise ConfigError(
-                f"{where}: family '{family}' takes params {list(names)}, got {sorted(params)}")
-        try:
-            values = tuple(float(params[n]) for n in names)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: non-numeric parameter ({exc})")
+        values = tuple(_real(params[n], f"{where}.params.{n}") for n in names if n in params)
         knots = ()
-    report = validate_params(family, values, knots)
-    if not report.ok:
-        raise ConfigError(f"{where}: " + "; ".join(report.violations))
-    return Distortion(family, values, knots)
+    try:
+        return Distortion(family, values, knots)
+    except DomainError as exc:
+        raise ConfigError(f"{where}: {exc}")
 
 
 def _weights_from_value(value, where: str, n: int):
@@ -112,15 +124,12 @@ def _weights_from_value(value, where: str, n: int):
             return value
         raise ConfigError(f"{where}: weight rule must be 'equal', 'last' or a vector")
     if isinstance(value, list):
-        try:
-            vec = tuple(float(v) for v in value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: weight vector must be numeric")
+        vec = tuple(_real(v, f"{where}[{j}]") for j, v in enumerate(value))
         if len(vec) != n:
             raise ConfigError(f"{where}: {len(vec)} weights for {n} agents")
-        if any(v < 0.0 for v in vec) or sum(vec) <= 0.0:
+        if any(v < 0.0 for v in vec) or not 0.0 < sum(vec) < math.inf:
             raise ConfigError(f"{where}: weight proportions must be non-negative "
-                              "with a positive sum")
+                              "with a positive finite sum")
         return vec
     raise ConfigError(f"{where}: unsupported weights value {value!r}")
 
@@ -130,48 +139,35 @@ def _read_json(path: Path, what: str):
         return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read {what}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:          # bad JSON, or an integer past the digit limit
         raise ConfigError(f"{what} is not valid JSON: {exc}")
 
 
 def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file (fail-fast)."""
     path = Path(path)
-    payload = _read_json(path, "config")
-    if not isinstance(payload, dict):
-        raise ConfigError("config root must be an object")
-    _require_keys(payload, _TOP_KEYS, "config")
-    if payload.get("version") != SCHEMA_VERSION:
+    payload = _object(_read_json(path, "config"), _TOP_KEYS, "config")
+    if _real(payload.get("version"), "config.version") != SCHEMA_VERSION:
         raise ConfigError(f"config version must be {SCHEMA_VERSION}")
-    alpha = float(payload.get("alpha", DEFAULT_ALPHA))
+    alpha = _real(payload.get("alpha", DEFAULT_ALPHA), "config.alpha")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    loss_column = payload.get("loss_column", ingest.DEFAULT_LOSS_COLUMN)
-    if not isinstance(loss_column, str) or not loss_column:
-        raise ConfigError("loss_column must be a non-empty string")
-    tolerances = payload.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigError("tolerances must be an object")
-    _require_keys(tolerances, _TOL_KEYS, "config.tolerances")
-    tie = float(tolerances.get("tie", TIE_TOL))
+    loss_column = _text(payload.get("loss_column", ingest.DEFAULT_LOSS_COLUMN),
+                        "config.loss_column")
+    tolerances = _object(payload.get("tolerances", {}), _TOL_KEYS, "config.tolerances")
+    tie = _real(tolerances.get("tie", TIE_TOL), "config.tolerances.tie")
     if tie < 0.0:
         raise ConfigError("tolerances.tie must be non-negative")
     raw_agents = payload.get("agents")
     if not isinstance(raw_agents, list) or not raw_agents:
         raise ConfigError("config.agents must be a non-empty list")
     agents: list[AgentConfig] = []
-    labels = set()
     for i, rec in enumerate(raw_agents):
         where = f"config.agents[{i}]"
-        if not isinstance(rec, dict):
-            raise ConfigError(f"{where}: must be an object")
-        _require_keys(rec, _AGENT_KEYS, where)
-        label = rec.get("label")
-        if not isinstance(label, str) or not label:
-            raise ConfigError(f"{where}: missing label")
-        if label in labels:
+        rec = _object(rec, _AGENT_KEYS, where)
+        label = _text(rec.get("label"), f"{where}.label")
+        if any(a.label == label for a in agents):
             raise ConfigError(f"{where}: duplicate label '{label}'")
-        labels.add(label)
         recs = rec.get("distortions")
         if not isinstance(recs, list) or not recs:
             raise ConfigError(f"{where}: distortions must be a non-empty list")
@@ -179,18 +175,10 @@ def load_config(path) -> RunConfig:
             _distortion_from_record(r, f"{where}.distortions[{j}]")
             for j, r in enumerate(recs)))
         belief = rec.get("belief", "shared")
-        if belief == "shared":
-            belief_file = None
-        elif isinstance(belief, dict):
-            _require_keys(belief, {"weights_file"}, f"{where}.belief")
-            belief_file = belief.get("weights_file")
-            if not isinstance(belief_file, str):
-                raise ConfigError(f"{where}.belief: weights_file must be a path")
-        else:
-            raise ConfigError(f"{where}: belief must be 'shared' or a weights_file object")
-        column = rec.get("endowment_column", label)
-        if not isinstance(column, str) or not column:
-            raise ConfigError(f"{where}: endowment_column must be a non-empty string")
+        belief_file = None if belief == "shared" else _text(
+            _object(belief, {"weights_file"}, f"{where}.belief").get("weights_file"),
+            f"{where}.belief.weights_file")
+        column = _text(rec.get("endowment_column", label), f"{where}.endowment_column")
         agents.append(AgentConfig(label, dset, belief_file, column))
     weights = _weights_from_value(payload.get("weights", "equal"), "config.weights", len(agents))
     return RunConfig(tuple(agents), alpha, weights, loss_column, tie, path.parent)
@@ -460,8 +448,8 @@ def cmd_sweep(args) -> int:
         gammas = [float(v) for v in args.grid.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"bad sweep grid '{args.grid}'")
-    if not gammas or any(g <= 0.0 for g in gammas):
-        raise ConfigError("sweep grid needs positive gamma values")
+    if not gammas or not all(0.0 < g < math.inf for g in gammas):
+        raise ConfigError("sweep grid needs positive finite gamma values")
     dist_sets = [a.distortions for a in cfg.agents]
     rows = sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha,
                       cfg.tie_tolerance)

@@ -289,6 +289,8 @@ def load_panel(source) -> LossPanel:
             raise FormatError(f"bad canonical row near line {reader.line_num}: {reason}")
         if not 1 <= month <= 12 or not 0.0 <= loss < math.inf:
             raise FormatError(f"bad canonical row near line {reader.line_num}: out of range")
+        if not agent:
+            raise FormatError(f"bad canonical row near line {reader.line_num}: empty agent label")
         keys.append(12 * year + month - 1)
         ids.append(labels.setdefault(agent, len(labels)))
         losses.append(loss)

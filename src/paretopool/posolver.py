@@ -163,9 +163,9 @@ def solve_fixed(agents, *, chosen: tuple[int, ...] | None = None,
     """Optimal layer allocation when each agent prices with one distortion.
 
     Each layer goes entirely to the agent with the smallest distorted
-    survival there; ties within relative ``tie_tol`` keep the lowest agent
-    index.  Returns the allocation (side payments zeroed) and the optimum
-    value  sum_k length_k * min_i T_i(Q_i(S > b_k)).
+    survival there; ties within relative ``tie_tol`` (finite, non-negative)
+    keep the lowest agent index.  Returns the allocation (side payments
+    zeroed) and the optimum value  sum_k length_k * min_i T_i(Q_i(S > b_k)).
     """
     _check_market(agents)
     n = len(agents)
@@ -180,6 +180,8 @@ def solve_fixed(agents, *, chosen: tuple[int, ...] | None = None,
 
 def _solve_on_grid(agents, grid: LayerGrid, chosen,
                    tie_tol: float) -> tuple[LayerAllocation, float]:
+    if not 0.0 <= tie_tol < math.inf:
+        raise DomainError(f"tie_tol must be finite and non-negative, got {tie_tol}")
     n, m = len(agents), grid.layer_count
     slopes = np.zeros((n, m))
     distorted = np.array([a.distortions[c](s)

@@ -129,6 +129,65 @@ def test_config_rejections(tmp_path, mutate):
     assert main(["validate-config", "--config", str(path)]) == 4
 
 
+def _tabulated(knots):
+    return lambda c: c["agents"][0].update(
+        distortions=[{"family": "tabulated", "params": {"knots": knots}}])
+
+
+# Each value must be a finite JSON number; weight vectors have one entry per
+# agent so that only the entry itself is at fault.
+MALFORMED_NUMBERS = {
+    "alpha abc": lambda c: c.update(alpha="abc"),
+    "alpha list": lambda c: c.update(alpha=[1]),
+    "alpha numeric string": lambda c: c.update(alpha="0.2"),
+    "alpha bool": lambda c: c.update(alpha=True),
+    "tie string": lambda c: c.update(tolerances={"tie": "x"}),
+    "tie nan": lambda c: c.update(tolerances={"tie": math.nan}),
+    "tie inf": lambda c: c.update(tolerances={"tie": math.inf}),
+    "knots scalar": _tabulated(3),
+    "knots triples": _tabulated([[0, 0, 0], [1, 1, 1]]),
+    "knots string": _tabulated([["a", 0], [1, 1]]),
+    "gamma inf": lambda c: c["agents"][2]["distortions"][0]["params"].update(gamma=math.inf),
+    "weights nan": lambda c: c.update(weights=[math.nan, 1, 1]),
+    "weights inf": lambda c: c.update(weights=[math.inf, 1, 1]),
+    "weights bool": lambda c: c.update(weights=[True, False, True]),
+    "weights sum overflows": lambda c: c.update(weights=[1e308, 1e308, 1]),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_NUMBERS))
+def test_config_malformed_numbers_are_config_errors(tmp_path, capsys, case):
+    cfg = base_config()
+    MALFORMED_NUMBERS[case](cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main(["validate-config", "--config", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("config error: config.")
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_config_integer_past_the_float_range_is_config_error(tmp_path, capsys, digits):
+    # 5000 digits also passes the interpreter's int-parsing digit limit.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(base_config()).replace('"alpha": 0.25',
+                                                      '"alpha": 1' + "0" * digits))
+    assert main(["validate-config", "--config", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("config error: config")
+
+
+@pytest.mark.parametrize("vector", ["[NaN, 1, 1]", "[Infinity, 1, 1]", "[true, false, true]"])
+def test_weights_file_malformed_numbers_are_config_errors(workdir, capsys, vector):
+    wfile = workdir / "w.json"
+    wfile.write_text(vector)
+    assert run(workdir, "po-decentralized", "--config", workdir / "config.json",
+               "--data", workdir / "data.csv", "--out", workdir / "x",
+               "--weights", wfile) == 4
+    assert capsys.readouterr().err.startswith(f"config error: {wfile}[0]: must be a finite number")
+    assert not (workdir / "x").exists()
+
+
 def test_config_not_json(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{not json")
@@ -527,6 +586,15 @@ def test_sweep_rejects_unknown_agent_and_bad_grid(workdir):
     assert main(base + ["--grid", "abc"]) == 4
     assert main(base + ["--grid", "-0.5"]) == 4
     assert main(base + ["--grid", ""]) == 4
+
+
+@pytest.mark.parametrize("grid", ["nan", "inf", "0.5,inf"])
+def test_sweep_non_finite_grid_is_config_error(workdir, capsys, grid):
+    assert run(workdir, "sweep", "--config", workdir / "config.json",
+               "--data", workdir / "data.csv", "--out", workdir / "x",
+               "--grid", grid) == 4
+    assert "config error: sweep grid needs positive finite gamma values" in capsys.readouterr().err
+    assert not (workdir / "x").exists()
 
 
 # -- bad claim input and weight vectors: one reader, one exit code each ---------

@@ -413,6 +413,11 @@ def test_load_panel_raises_only_format_error(text, message):
         load_panel(text)
 
 
+def test_load_panel_rejects_an_empty_agent_label():
+    with pytest.raises(FormatError, match="line 2: empty agent label"):
+        load_panel("month,agent,loss\n2020-01,,1\n")
+
+
 def test_panel_validation_names_the_first_bad_cell():
     losses = np.array([[1.0, 2.0], [3.0, -1.0], [np.nan, 0.0]])
     with pytest.raises(DomainError, match=re.escape(

@@ -138,6 +138,17 @@ def test_solve_fixed_tie_prefers_lowest_index():
     assert np.array_equal(alloc.slopes, [[1.0], [0.0]])
 
 
+@pytest.mark.parametrize("tie_tol", [math.nan, math.inf, -1e-12])
+def test_solve_fixed_and_robust_reject_a_bad_tie_band(tie_tol):
+    sp = EmpiricalSpace.uniform(2)
+    agents = [AgentSpec(sp, single(Distortion.power(0.5)), [0.0, 5.0]),
+              AgentSpec(sp, single(Distortion.power(0.8)), [0.0, 5.0])]
+    with pytest.raises(DomainError, match="tie_tol"):
+        solve_fixed(agents, tie_tol=tie_tol)
+    with pytest.raises(DomainError, match="tie_tol"):
+        solve_robust(agents, tie_tol=tie_tol)
+
+
 def test_solve_fixed_scale_covariance():
     rng = np.random.default_rng(31)
     agents = rand_agents(rng, 5, 3)
