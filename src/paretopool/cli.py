@@ -30,7 +30,8 @@ from . import centralized as central
 from . import ingest
 from .distortion import (PARAM_NAMES, POWER, TABULATED, Distortion,
                          DistortionSet, single)
-from .errors import ConfigError, DomainError, FormatError, ParetopoolError
+from .errors import (ConfigError, DomainError, FormatError, ParetopoolError,
+                     UnsupportedOperationError)
 from .posolver import (TIE_TOL, AgentSpec, aggregate_loss, settle, solve_robust,
                        welfare_report)
 from .riskmeasure import EmpiricalSpace
@@ -413,6 +414,10 @@ def sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha,
     reference measure.  ``tie_tol`` is the layer solve's relative tie band.
     Grid points are evaluated in parallel; the rows come back in grid order.
     """
+    for i, ds in enumerate(dist_sets):
+        if len(ds) != 1:
+            raise UnsupportedOperationError(
+                f"sweep needs a single distortion per agent; agent {i} has {len(ds)} candidates")
     base = [ds[0] for ds in dist_sets]
 
     def one(gamma: float):

@@ -79,12 +79,12 @@ def validate_params(family: str, params: tuple[float, ...] = (),
         return ValidationReport(
             (f"{family} takes {len(names)} parameter(s) {names}, got {len(params)}",))
     vals = dict(zip(names, params))
-    if family == POWER and not vals["gamma"] > 0.0:
-        issues.append(f"power: gamma must be positive, got {vals['gamma']}")
+    if family == POWER and not 0.0 < vals["gamma"] < math.inf:
+        issues.append(f"power: gamma must be positive and finite, got {vals['gamma']}")
     if family in (PRELEC1, PRELEC2) and not 0.0 < vals["alpha"] < 1.0:
         issues.append(f"{family}: alpha must lie in (0, 1), got {vals['alpha']}")
-    if family == PRELEC2 and not vals["beta"] > 0.0:
-        issues.append(f"prelec2: beta must be positive, got {vals['beta']}")
+    if family == PRELEC2 and not 0.0 < vals["beta"] < math.inf:
+        issues.append(f"prelec2: beta must be positive and finite, got {vals['beta']}")
     if family == KAHNEMAN_TVERSKY and not KT_GAMMA_MIN < vals["gamma"] <= 1.0:
         issues.append(
             f"kahneman_tversky: gamma must lie in ({KT_GAMMA_MIN}, 1], got {vals['gamma']}")
@@ -102,7 +102,7 @@ def _knot_structure_issues(knots) -> list[str]:
     ts = [float(t) for t, _ in knots]
     if ts[0] != 0.0 or ts[-1] != 1.0:
         issues.append("tabulated: knot abscissae must start at 0 and end at 1")
-    if any(b <= a for a, b in zip(ts, ts[1:])):
+    if any(not a < b for a, b in zip(ts, ts[1:])):
         issues.append("tabulated: knot abscissae must be strictly increasing")
     if any(not math.isfinite(float(v)) for _, v in knots):
         issues.append("tabulated: knot values must be finite")
@@ -139,7 +139,7 @@ class Distortion:
 
     @classmethod
     def power(cls, gamma: float) -> "Distortion":
-        """T(t) = t ** gamma with gamma > 0."""
+        """T(t) = t ** gamma with finite gamma > 0."""
         return cls(POWER, (gamma,))
 
     @classmethod
@@ -149,7 +149,7 @@ class Distortion:
 
     @classmethod
     def prelec2(cls, alpha: float, beta: float) -> "Distortion":
-        """T(t) = exp(-beta * (-ln t) ** alpha), alpha in (0, 1), beta > 0."""
+        """T(t) = exp(-beta * (-ln t) ** alpha), alpha in (0, 1), finite beta > 0."""
         return cls(PRELEC2, (alpha, beta))
 
     @classmethod

@@ -201,71 +201,44 @@ class RobustSolution:
     value: float
 
 
-def _combo_value(tables, lengths, combo) -> float:
-    stacked = np.array([tables[i][c] for i, c in enumerate(combo)])
-    return float(np.dot(lengths, stacked.min(axis=0)))
-
-
-def solve_robust(agents, *, product_cap: int = PRODUCT_CAP,
-                 allow_coordinate_ascent: bool = True,
-                 tie_tol: float = TIE_TOL) -> RobustSolution:
+def solve_robust(agents, *, tie_tol: float = TIE_TOL) -> RobustSolution:
     """Worst-case-optimal allocation over finite candidate distortion sets.
 
-    The layer value is maximised over the product of candidate sets;
-    exhaustive enumeration is used while the product size stays within
-    ``product_cap``, otherwise deterministic coordinate ascent from uniform
-    candidate-index starts.  Ties keep the lexicographically first
-    maximiser.  The chosen candidates are then solved on the same layer
-    grid with ``tie_tol``; singleton sets reproduce :func:`solve_fixed` exactly.
+    The layer value is maximised by exhaustive search over the product of
+    candidate sets; ties keep the lexicographically first maximiser.  A
+    product above ``PRODUCT_CAP`` raises :class:`ResourceLimitError` before
+    any layer work.  The chosen candidates are then solved on the same layer
+    grid with ``tie_tol``; singleton sets reproduce :func:`solve_fixed`
+    exactly.  The returned max-min value is a lower bound on the least
+    worst-case total; when the allocation's worst-case total exceeds it
+    beyond the tie band, a warning says the allocation is not certified
+    optimal.
     """
     _check_market(agents)
     sizes = [len(a.distortions) for a in agents]
+    product = math.prod(sizes)
+    if product > PRODUCT_CAP:
+        raise ResourceLimitError(
+            f"candidate product {product} exceeds cap {PRODUCT_CAP}")
     grid = layer_decomposition(aggregate_loss(agents), [a.belief for a in agents])
     tables = [[d(grid.survivals[i]) for d in a.distortions]
               for i, a in enumerate(agents)]
     lengths = grid.lengths
-    product = math.prod(sizes)
-    if grid.layer_count == 0:
-        best_combo = (0,) * len(agents)
-    elif product <= product_cap:
-        best_combo, best = None, -math.inf
-        for combo in itertools.product(*(range(s) for s in sizes)):
-            v = _combo_value(tables, lengths, combo)
-            if v > best:
-                best_combo, best = combo, v
-        log.debug("robust solve: exhaustive over %d combos", product)
-    else:
-        if not allow_coordinate_ascent:
-            raise ResourceLimitError(
-                f"candidate product {product} exceeds cap {product_cap}")
-        best_combo, best = _coordinate_ascent(tables, lengths, sizes)
-        log.debug("robust solve: coordinate ascent over product %d", product)
-    alloc, value = _solve_on_grid(agents, grid, best_combo, tie_tol)
-    return RobustSolution(tuple(best_combo), alloc, value)
-
-
-def _coordinate_ascent(tables, lengths, sizes):
-    """Deterministic sweeps from every uniform candidate-index start."""
     best_combo, best = None, -math.inf
-    for start in range(max(sizes)):
-        combo = [min(start, s - 1) for s in sizes]
-        value = _combo_value(tables, lengths, combo)
-        improved = True
-        while improved:
-            improved = False
-            for i in range(len(sizes)):
-                for c in range(sizes[i]):
-                    if c == combo[i]:
-                        continue
-                    trial = combo.copy()
-                    trial[i] = c
-                    v = _combo_value(tables, lengths, trial)
-                    if v > value:
-                        combo, value = trial, v
-                        improved = True
-        if value > best:
-            best_combo, best = tuple(combo), value
-    return best_combo, best
+    for combo in itertools.product(*(range(s) for s in sizes)):
+        stacked = np.array([tables[i][c] for i, c in enumerate(combo)])
+        v = float(np.dot(lengths, stacked.min(axis=0)))
+        if v > best:
+            best_combo, best = combo, v
+    log.debug("robust solve: exhaustive over %d combos", product)
+    alloc, value = _solve_on_grid(agents, grid, best_combo, tie_tol)
+    # Worst-case total of the allocation: an upper bound on the optimum.
+    upper = sum(max(float(np.dot(lengths * h, t)) for t in ts)
+                for h, ts in zip(alloc.slopes, tables))
+    if upper > value * (1.0 + tie_tol + 1e-9):
+        log.warning("robust allocation not certified optimal: its worst-case "
+                    "total %.9g exceeds the max-min value %.9g", upper, value)
+    return RobustSolution(tuple(best_combo), alloc, value)
 
 
 def _robust_values(agents, profiles) -> np.ndarray:

@@ -12,14 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paretopool import (AgentSpec, LayerAllocation, centralized_welfare,
-                        parse_losses, side_payments, solve_centralized,
+from paretopool import (AgentSpec, Distortion, DistortionSet, EmpiricalSpace,
+                        LayerAllocation, centralized_welfare, parse_losses,
+                        posolver, side_payments, single, solve_centralized,
                         solve_fixed, solve_robust, stackelberg_premiums,
                         summary_stats, to_space, welfare_report,
                         with_side_payments)
 import paretopool
-from paretopool.cli import load_config, main
-from paretopool.errors import ConfigError
+from paretopool.cli import load_config, main, sweep_rows
+from paretopool.errors import ConfigError, UnsupportedOperationError
 from paretopool.ingest import load_panel
 
 SRC = Path(paretopool.__file__).resolve().parents[1]
@@ -431,6 +432,19 @@ def test_po_decentralized_tie_tolerance(workdir, tie, winner):
     assert np.all(slopes[1 - winner, 1:] == 0.0)
 
 
+def test_po_decentralized_over_cap_candidate_product_is_solver_error(
+        workdir, capsys, monkeypatch):
+    cfg = base_config()
+    for agent in cfg["agents"]:
+        agent["distortions"] = [{"family": "power", "params": {"gamma": g}}
+                                for g in (0.5, 0.7, 0.9)]      # product 27
+    (workdir / "config.json").write_text(json.dumps(cfg))
+    monkeypatch.setattr(posolver, "PRODUCT_CAP", 10)
+    assert run(workdir, "po-decentralized", "--config", workdir / "config.json",
+               "--data", workdir / "data.csv", "--out", workdir / "x") == 3
+    assert "solver error: candidate product 27 exceeds cap 10" in capsys.readouterr().err
+
+
 def test_po_decentralized_unknown_endowment_column(workdir):
     cfg = base_config()
     cfg["agents"][0]["endowment_column"] = "NV"
@@ -563,6 +577,15 @@ def test_sweep_multi_point_grid_order(workdir):
     assert [float(r[0]) for r in rows[1:]] == [0.4, 0.5, 0.7]
     for r in rows[1:]:
         assert float(r[1]) == pytest.approx(1.0 - float(r[0]), abs=1e-12)
+
+
+def test_sweep_rows_rejects_candidate_sets():
+    space = EmpiricalSpace.uniform(3)
+    endowments = [np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 3.0])]
+    dist_sets = [single(Distortion.power(0.5)),
+                 DistortionSet((Distortion.power(0.5), Distortion.power(0.9)))]
+    with pytest.raises(UnsupportedOperationError, match="agent 1 has 2 candidates"):
+        sweep_rows(space, endowments, dist_sets, 0, [0.5], 0.25)
 
 
 def test_sweep_alpha_out_of_range_is_config_error(workdir, capsys):

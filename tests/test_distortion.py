@@ -233,6 +233,16 @@ def test_constructor_enforces_parameter_domains():
         Distortion.tvar(1.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Distortion.power(math.inf),
+    lambda: Distortion.prelec2(0.5, math.inf),
+    lambda: Distortion.tabulated([(0.0, 0.0), (math.nan, 0.5), (1.0, 1.0)]),
+], ids=["power-inf", "prelec2-beta-inf", "tabulated-nan-abscissa"])
+def test_constructor_rejects_non_finite_parameters(make):
+    with pytest.raises(DomainError):
+        make()
+
+
 def test_validate_reports_tabulated_monotonicity():
     d = Distortion.tabulated([(0.0, 0.0), (0.5, 0.7), (1.0, 0.6)])
     report = validate(d)

@@ -424,14 +424,46 @@ def test_solve_robust_value_maximises_over_combos():
         assert sol.value == pytest.approx(max(values), abs=1e-12)
 
 
-def test_solve_robust_cap_and_coordinate_ascent():
+def test_solve_robust_over_cap_fails_before_the_layer_grid(monkeypatch):
     rng = np.random.default_rng(38)
     agents = rand_agents(rng, 4, 3, candidates=3)   # product 27
-    with pytest.raises(ResourceLimitError):
-        solve_robust(agents, product_cap=10, allow_coordinate_ascent=False)
-    exact = solve_robust(agents)                    # exhaustive
-    ascent = solve_robust(agents, product_cap=10)
-    assert ascent.value <= exact.value + 1e-12
+    exact = solve_robust(agents)
+    monkeypatch.setattr(posolver, "PRODUCT_CAP", 27)
+    at_cap = solve_robust(agents)
+    assert at_cap.chosen == exact.chosen and at_cap.value == exact.value
+    monkeypatch.setattr(posolver, "PRODUCT_CAP", 10)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("layer grid built for an over-cap market")
+
+    monkeypatch.setattr(posolver, "layer_decomposition", no_grid)
+    with pytest.raises(ResourceLimitError, match="candidate product 27 exceeds cap 10"):
+        solve_robust(agents)
+
+
+def test_solve_robust_warns_when_not_certified_optimal(caplog):
+    # S = (0, 2, 2): one layer of length 2 with survival 2/3.  Both combos
+    # score V = 2 (2/3)^0.3, and the tie gives the layer to agent A, whose
+    # tvar(0.5) candidate prices it at 2; agent B alone would attain V.
+    sp = EmpiricalSpace.uniform(3)
+    a = AgentSpec(sp, DistortionSet((Distortion.power(0.3), Distortion.tvar(0.5))),
+                  [0.0, 1.0, 2.0])
+    b = AgentSpec(sp, single(Distortion.power(0.3)), [0.0, 1.0, 0.0])
+    with caplog.at_level("WARNING", logger="paretopool.posolver"):
+        sol = solve_robust([a, b])
+    assert sol.value == pytest.approx(2.0 * (2.0 / 3.0) ** 0.3, rel=1e-12)
+    assert np.array_equal(sol.allocation.slopes, [[1.0], [0.0]])
+    assert len(caplog.records) == 1
+    assert "not certified optimal" in caplog.records[0].getMessage()
+
+    caplog.clear()
+    rng = np.random.default_rng(39)
+    with caplog.at_level("WARNING", logger="paretopool.posolver"):
+        for tie_tol in (1e-12, 1e-3, 0.1):
+            for _ in range(10):
+                agents = rand_agents(rng, int(rng.integers(2, 7)), int(rng.integers(1, 5)))
+                solve_robust(agents, tie_tol=tie_tol)
+    assert caplog.records == []
 
 
 def test_degenerate_zero_aggregate_robust():
