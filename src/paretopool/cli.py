@@ -32,7 +32,7 @@ from .distortion import (PARAM_NAMES, POWER, TABULATED, Distortion,
                          DistortionSet, single)
 from .errors import (ConfigError, DomainError, FormatError, ParetopoolError,
                      UnsupportedOperationError)
-from .posolver import (TIE_TOL, AgentSpec, aggregate_loss, settle, solve_robust,
+from .posolver import (AgentSpec, aggregate_loss, settle, solve_robust,
                        welfare_report)
 from .riskmeasure import EmpiricalSpace
 
@@ -42,10 +42,9 @@ SCHEMA_VERSION = 1
 DEFAULT_ALPHA = 0.15
 DEFAULT_OUT = "paretopool_out"
 
-_TOP_KEYS = {"version", "alpha", "weights", "loss_column", "tolerances", "agents"}
+_TOP_KEYS = {"version", "alpha", "weights", "loss_column", "agents"}
 _AGENT_KEYS = {"label", "distortions", "belief", "endowment_column"}
 _DIST_KEYS = {"family", "params"}
-_TOL_KEYS = {"tie"}
 _WEIGHT_RULES = ("equal", "last")
 
 
@@ -63,7 +62,6 @@ class RunConfig:
     alpha: float
     weights: object            # "equal" | "last" | tuple of proportions
     loss_column: str
-    tie_tolerance: float
     base_dir: Path
 
 
@@ -155,10 +153,6 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     loss_column = _text(payload.get("loss_column", ingest.DEFAULT_LOSS_COLUMN),
                         "config.loss_column")
-    tolerances = _object(payload.get("tolerances", {}), _TOL_KEYS, "config.tolerances")
-    tie = _real(tolerances.get("tie", TIE_TOL), "config.tolerances.tie")
-    if tie < 0.0:
-        raise ConfigError("tolerances.tie must be non-negative")
     raw_agents = payload.get("agents")
     if not isinstance(raw_agents, list) or not raw_agents:
         raise ConfigError("config.agents must be a non-empty list")
@@ -182,7 +176,7 @@ def load_config(path) -> RunConfig:
         column = _text(rec.get("endowment_column", label), f"{where}.endowment_column")
         agents.append(AgentConfig(label, dset, belief_file, column))
     weights = _weights_from_value(payload.get("weights", "equal"), "config.weights", len(agents))
-    return RunConfig(tuple(agents), alpha, weights, loss_column, tie, path.parent)
+    return RunConfig(tuple(agents), alpha, weights, loss_column, path.parent)
 
 
 # -- market assembly ---------------------------------------------------------
@@ -329,7 +323,7 @@ def cmd_po_decentralized(args) -> int:
     weights = _resolve_weights_arg(args, cfg)
     _, agents = _load_market(args, cfg)
     labels = [a.label for a in cfg.agents]
-    solution = solve_robust(agents, tie_tol=cfg.tie_tolerance)
+    solution = solve_robust(agents)
     alloc, report = settle(agents, solution.allocation, weights)
     out = _out_dir(args)
 
@@ -405,14 +399,13 @@ def cmd_stackelberg(args) -> int:
     return 0
 
 
-def sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha,
-               tie_tol=TIE_TOL):
+def sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha):
     """Welfare comparison rows for a grid of power exponents.
 
     The swept agent's distortion is replaced by power(gamma) at each grid
     value; every agent must carry a single distortion and the shared
-    reference measure.  ``tie_tol`` is the layer solve's relative tie band.
-    Grid points are evaluated in parallel; the rows come back in grid order.
+    reference measure.  Grid points are evaluated in parallel; the rows come
+    back in grid order.
     """
     for i, ds in enumerate(dist_sets):
         if len(ds) != 1:
@@ -425,7 +418,7 @@ def sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha,
         dists[sweep_index] = Distortion.power(gamma)
         agents = [AgentSpec(space, single(d), x)
                   for d, x in zip(dists, endowments)]
-        solution = solve_robust(agents, tie_tol=tie_tol)
+        solution = solve_robust(agents)
         report = welfare_report(agents, solution.allocation)
         contract = central.solve_centralized(space, endowments, dists, alpha)
         welfare = central.centralized_welfare(space, endowments, dists, contract)
@@ -456,8 +449,7 @@ def cmd_sweep(args) -> int:
     if not gammas or not all(0.0 < g < math.inf for g in gammas):
         raise ConfigError("sweep grid needs positive finite gamma values")
     dist_sets = [a.distortions for a in cfg.agents]
-    rows = sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha,
-                      cfg.tie_tolerance)
+    rows = sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha)
     out = _out_dir(args)
     _write_csv(out / "sweep.csv",
                ["gamma", "rpra", "centralized_avg_gain",

@@ -67,9 +67,9 @@ def validate_params(family: str, params: tuple[float, ...] = (),
                     knots: tuple[tuple[float, float], ...] = ()) -> ValidationReport:
     """Check parameter ranges for a distortion described by raw values.
 
-    Unlike :func:`validate` this does not require a constructed Distortion,
-    so it can report range violations (for example prelec1 with alpha = 1.5)
-    that the constructor would refuse outright.  Used by config loading.
+    The :class:`Distortion` constructor raises :class:`DomainError` on any
+    violation reported here (for example prelec1 with alpha = 1.5); unlike
+    :func:`validate` this needs no constructed Distortion.
     """
     issues: list[str] = []
     if family not in FAMILIES:
@@ -208,11 +208,10 @@ class Distortion:
             num = arr ** g
             den = (arr ** g + (1.0 - arr) ** g) ** (1.0 / g)
             return num / den
-        if f == TABULATED:
-            ts = np.array([k[0] for k in self.knots])
-            vs = np.array([k[1] for k in self.knots])
-            return np.interp(arr, ts, vs)
-        raise DomainError(f"unknown family '{f}'")
+        # TABULATED; the constructor admits no other family.
+        ts = np.array([k[0] for k in self.knots])
+        vs = np.array([k[1] for k in self.knots])
+        return np.interp(arr, ts, vs)
 
     # -- local risk aversion ------------------------------------------------
 

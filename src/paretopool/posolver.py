@@ -25,6 +25,8 @@ from .riskmeasure import (EmpiricalSpace, _layer_function, _layer_table,
 
 log = logging.getLogger(__name__)
 
+# Relative band within which distorted survivals tie; the first tied agent
+# (in market order) carries the layer.
 TIE_TOL = 1e-12
 PRODUCT_CAP = 1_000_000
 # Survival level whose VaR gives the deductible of an all-Prelec market.
@@ -53,14 +55,15 @@ class AgentSpec:
         object.__setattr__(self, "endowment", x)
 
 
-def _check_market(agents) -> int:
+def _check_market(agents, alloc: LayerAllocation | None = None) -> None:
     if not agents:
         raise DomainError("at least one agent required")
     m = agents[0].belief.state_count
     for a in agents:
         if a.belief.state_count != m:
             raise ProfileMismatchError("agents must share one state set")
-    return m
+    if alloc is not None and alloc.agent_count != len(agents):
+        raise ProfileMismatchError("allocation and agent list disagree on size")
 
 
 def aggregate_loss(agents) -> np.ndarray:
@@ -148,24 +151,39 @@ class LayerAllocation:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "LayerAllocation":
+        """Reload :meth:`to_dict` output; a malformed field raises DomainError."""
         if payload.get("schema_version") != 1:
             raise DomainError("unsupported allocation schema version")
-        return cls(
-            breakpoints=np.asarray(payload["breakpoints"], dtype=float),
-            slopes=np.asarray(payload["slopes"], dtype=float),
-            side_payments=np.asarray(payload["side_payments"], dtype=float),
-            chosen_distortions=tuple(int(i) for i in payload["chosen_distortions"]),
-        )
+        try:
+            b, h, c = (np.asarray(payload[f], dtype=float)
+                       for f in ("breakpoints", "slopes", "side_payments"))
+            chosen = tuple(int(i) for i in payload["chosen_distortions"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError(f"malformed allocation: {exc!r}") from None
+        n = h.shape[0] if h.ndim == 2 else -1
+        for field, bad, want in (
+                ("breakpoints", b.ndim != 1 or b.size == 0 or b[0] != 0.0
+                 or not np.isfinite(b).all() or np.any(np.diff(b) <= 0.0),
+                 "finite and strictly increasing from 0.0"),
+                ("slopes", h.shape != (n, b.size - 1)
+                 or not np.all((h >= 0.0) & (h <= 1.0)),
+                 f"in [0, 1] with {b.size - 1} columns, one per layer"),
+                ("side_payments", c.shape != (n,) or not np.isfinite(c).all(),
+                 "finite, one per agent"),
+                ("chosen_distortions", len(chosen) != n, "one per agent")):
+            if bad:
+                raise DomainError(f"allocation {field} must be {want}")
+        return cls(b, h, c, chosen)
 
 
-def solve_fixed(agents, *, chosen: tuple[int, ...] | None = None,
-                tie_tol: float = TIE_TOL) -> tuple[LayerAllocation, float]:
+def solve_fixed(agents, *, chosen: tuple[int, ...] | None = None
+                ) -> tuple[LayerAllocation, float]:
     """Optimal layer allocation when each agent prices with one distortion.
 
     Each layer goes entirely to the agent with the smallest distorted
-    survival there; ties within relative ``tie_tol`` (finite, non-negative)
-    keep the lowest agent index.  Returns the allocation (side payments
-    zeroed) and the optimum value  sum_k length_k * min_i T_i(Q_i(S > b_k)).
+    survival there; ties within relative ``TIE_TOL`` keep the lowest agent
+    index.  Returns the allocation (side payments zeroed) and the optimum
+    value  sum_k length_k * min_i T_i(Q_i(S > b_k)).
     """
     _check_market(agents)
     n = len(agents)
@@ -175,19 +193,16 @@ def solve_fixed(agents, *, chosen: tuple[int, ...] | None = None,
                 "solve_fixed needs singleton candidate sets; use solve_robust")
         chosen = (0,) * n
     grid = layer_decomposition(aggregate_loss(agents), [a.belief for a in agents])
-    return _solve_on_grid(agents, grid, chosen, tie_tol)
+    return _solve_on_grid(agents, grid, chosen)
 
 
-def _solve_on_grid(agents, grid: LayerGrid, chosen,
-                   tie_tol: float) -> tuple[LayerAllocation, float]:
-    if not 0.0 <= tie_tol < math.inf:
-        raise DomainError(f"tie_tol must be finite and non-negative, got {tie_tol}")
+def _solve_on_grid(agents, grid: LayerGrid, chosen) -> tuple[LayerAllocation, float]:
     n, m = len(agents), grid.layer_count
     slopes = np.zeros((n, m))
     distorted = np.array([a.distortions[c](s)
                           for a, c, s in zip(agents, chosen, grid.survivals)])
     mins = distorted.min(axis=0)
-    winners = (distorted <= mins[None, :] * (1.0 + tie_tol)).argmax(axis=0)
+    winners = (distorted <= mins[None, :] * (1.0 + TIE_TOL)).argmax(axis=0)
     slopes[winners, np.arange(m)] = 1.0
     value = float(np.dot(grid.lengths, mins))
     alloc = LayerAllocation(grid.breakpoints, slopes, np.zeros(n), tuple(chosen))
@@ -201,18 +216,17 @@ class RobustSolution:
     value: float
 
 
-def solve_robust(agents, *, tie_tol: float = TIE_TOL) -> RobustSolution:
+def solve_robust(agents) -> RobustSolution:
     """Worst-case-optimal allocation over finite candidate distortion sets.
 
     The layer value is maximised by exhaustive search over the product of
     candidate sets; ties keep the lexicographically first maximiser.  A
     product above ``PRODUCT_CAP`` raises :class:`ResourceLimitError` before
     any layer work.  The chosen candidates are then solved on the same layer
-    grid with ``tie_tol``; singleton sets reproduce :func:`solve_fixed`
-    exactly.  The returned max-min value is a lower bound on the least
-    worst-case total; when the allocation's worst-case total exceeds it
-    beyond the tie band, a warning says the allocation is not certified
-    optimal.
+    grid; singleton sets reproduce :func:`solve_fixed` exactly.  The
+    returned max-min value is a lower bound on the least worst-case total;
+    when the allocation's worst-case total exceeds it beyond the tie band
+    ``TIE_TOL``, a warning says the allocation is not certified optimal.
     """
     _check_market(agents)
     sizes = [len(a.distortions) for a in agents]
@@ -231,11 +245,11 @@ def solve_robust(agents, *, tie_tol: float = TIE_TOL) -> RobustSolution:
         if v > best:
             best_combo, best = combo, v
     log.debug("robust solve: exhaustive over %d combos", product)
-    alloc, value = _solve_on_grid(agents, grid, best_combo, tie_tol)
+    alloc, value = _solve_on_grid(agents, grid, best_combo)
     # Worst-case total of the allocation: an upper bound on the optimum.
     upper = sum(max(float(np.dot(lengths * h, t)) for t in ts)
                 for h, ts in zip(alloc.slopes, tables))
-    if upper > value * (1.0 + tie_tol + 1e-9):
+    if upper > value * (1.0 + TIE_TOL + 1e-9):
         log.warning("robust allocation not certified optimal: its worst-case "
                     "total %.9g exceeds the max-min value %.9g", upper, value)
     return RobustSolution(tuple(best_combo), alloc, value)
@@ -260,9 +274,8 @@ def side_payments(alloc: LayerAllocation, agents, weights=None) -> np.ndarray:
 
 def _pre_trade_values(agents, alloc: LayerAllocation):
     """rho_i(X_i) and rho_i(g_i(S)), the risks before side payments."""
+    _check_market(agents, alloc)
     S = aggregate_loss(agents)
-    if alloc.agent_count != len(agents):
-        raise ProfileMismatchError("allocation and agent list disagree on size")
     return (_robust_values(agents, [a.endowment for a in agents]),
             _robust_values(agents, alloc.coverage(S)))
 
@@ -323,7 +336,7 @@ class MarketReport:
 
 def welfare_report(agents, alloc: LayerAllocation) -> MarketReport:
     """Evaluate initial and post-trade risk for a finished allocation."""
-    _check_market(agents)
+    _check_market(agents, alloc)
     S = aggregate_loss(agents)
     return _market_report(_robust_values(agents, [a.endowment for a in agents]),
                           _robust_values(agents, alloc.profiles(S)))
@@ -373,16 +386,11 @@ def prelec_deductible(space: EmpiricalSpace, S, distortions) -> float:
     if not dists:
         raise DomainError("at least one distortion required")
     families = {d.family for d in dists}
-    if families == {PRELEC1}:
-        pass
-    elif families == {PRELEC2}:
-        betas = {d.params[1] for d in dists}
-        if len(betas) != 1:
-            raise UnsupportedOperationError(
-                "prelec2 deductible rule needs a common beta")
-    else:
+    if families not in ({PRELEC1}, {PRELEC2}):
         raise UnsupportedOperationError(
             f"deductible rule covers all-prelec1 or common-beta prelec2 markets, got {sorted(families)}")
+    if families == {PRELEC2} and len({d.params[1] for d in dists}) != 1:
+        raise UnsupportedOperationError("prelec2 deductible rule needs a common beta")
     return var(space, S, PRELEC_SPLIT_LEVEL)
 
 

@@ -130,6 +130,14 @@ def test_config_rejections(tmp_path, mutate):
     assert main(["validate-config", "--config", str(path)]) == 4
 
 
+def test_config_tolerances_key_is_unknown(tmp_path, capsys):
+    # The layer solve's tie band is a fixed constant, not a config option.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(base_config(tolerances={"tie": 1e-12})))
+    assert main(["validate-config", "--config", str(path)]) == 4
+    assert capsys.readouterr().err == "config error: config: unknown keys ['tolerances']\n"
+
+
 def _tabulated(knots):
     return lambda c: c["agents"][0].update(
         distortions=[{"family": "tabulated", "params": {"knots": knots}}])
@@ -142,9 +150,6 @@ MALFORMED_NUMBERS = {
     "alpha list": lambda c: c.update(alpha=[1]),
     "alpha numeric string": lambda c: c.update(alpha="0.2"),
     "alpha bool": lambda c: c.update(alpha=True),
-    "tie string": lambda c: c.update(tolerances={"tie": "x"}),
-    "tie nan": lambda c: c.update(tolerances={"tie": math.nan}),
-    "tie inf": lambda c: c.update(tolerances={"tie": math.inf}),
     "knots scalar": _tabulated(3),
     "knots triples": _tabulated([[0, 0, 0], [1, 1, 1]]),
     "knots string": _tabulated([["a", 0], [1, 1]]),
@@ -407,14 +412,12 @@ def test_po_decentralized_per_agent_belief(workdir):
                "--data", workdir / "data.csv", "--out", out) == 0
 
 
-@pytest.mark.parametrize("tie, winner", [(1e-12, 1), (1e-3, 0)])
-def test_po_decentralized_tie_tolerance(workdir, tie, winner):
+def test_po_decentralized_near_tie_goes_to_cheaper_agent(workdir):
     # Shared belief, power(0.5) against power(0.5000001): the second
     # agent's distorted survival s**0.5000001 undercuts s**0.5 by about
-    # 1e-7 relative on every layer with survival s < 1, so it takes those
-    # layers unless the tie band swallows the gap; then the lowest index
-    # (the first agent) keeps them.
-    cfg = base_config(tolerances={"tie": tie})
+    # 1e-7 relative on every layer with survival s < 1, far outside the
+    # fixed 1e-12 tie band, so it takes those layers.
+    cfg = base_config()
     cfg["agents"] = [
         {"label": "CA", "distortions": [{"family": "power", "params": {"gamma": 0.5}}]},
         {"label": "FL", "distortions": [{"family": "power", "params": {"gamma": 0.5000001}}]},
@@ -428,8 +431,8 @@ def test_po_decentralized_tie_tolerance(workdir, tie, winner):
     # Every month has a CA or FL loss, so the bottom layer has survival 1,
     # where both agents price at exactly 1 and the first one wins.
     assert slopes[0, 0] == 1.0
-    assert np.all(slopes[winner, 1:] == 1.0)
-    assert np.all(slopes[1 - winner, 1:] == 0.0)
+    assert np.all(slopes[1, 1:] == 1.0)
+    assert np.all(slopes[0, 1:] == 0.0)
 
 
 def test_po_decentralized_over_cap_candidate_product_is_solver_error(
