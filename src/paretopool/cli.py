@@ -30,10 +30,10 @@ from . import centralized as central
 from . import ingest
 from .distortion import (PARAM_NAMES, POWER, TABULATED, Distortion,
                          DistortionSet, single)
-from .errors import (ConfigError, DomainError, FormatError, ParetopoolError,
-                     UnsupportedOperationError)
-from .posolver import (AgentSpec, aggregate_loss, settle, solve_robust,
-                       welfare_report)
+from .errors import (ConfigError, DomainError, FormatError, InvalidWeightsError,
+                     ParetopoolError, UnsupportedOperationError)
+from .posolver import (WEIGHT_RULES, AgentSpec, aggregate_loss, settle,
+                       solve_robust, welfare_report, welfare_shares)
 from .riskmeasure import EmpiricalSpace
 
 log = logging.getLogger(__name__)
@@ -45,7 +45,6 @@ DEFAULT_OUT = "paretopool_out"
 _TOP_KEYS = {"version", "alpha", "weights", "loss_column", "agents"}
 _AGENT_KEYS = {"label", "distortions", "belief", "endowment_column"}
 _DIST_KEYS = {"family", "params"}
-_WEIGHT_RULES = ("equal", "last")
 
 
 @dataclass(frozen=True)
@@ -117,20 +116,17 @@ def _distortion_from_record(rec, where: str) -> Distortion:
 
 
 def _weights_from_value(value, where: str, n: int):
-    """A weight rule name, or n non-negative proportions with a positive sum."""
-    if isinstance(value, str):
-        if value in _WEIGHT_RULES:
-            return value
-        raise ConfigError(f"{where}: weight rule must be 'equal', 'last' or a vector")
+    """A weight rule name or a tuple of proportions that
+    :func:`~paretopool.posolver.welfare_shares` accepts for n agents."""
     if isinstance(value, list):
-        vec = tuple(_real(v, f"{where}[{j}]") for j, v in enumerate(value))
-        if len(vec) != n:
-            raise ConfigError(f"{where}: {len(vec)} weights for {n} agents")
-        if any(v < 0.0 for v in vec) or not 0.0 < sum(vec) < math.inf:
-            raise ConfigError(f"{where}: weight proportions must be non-negative "
-                              "with a positive finite sum")
-        return vec
-    raise ConfigError(f"{where}: unsupported weights value {value!r}")
+        value = tuple(_real(v, f"{where}[{j}]") for j, v in enumerate(value))
+    elif not isinstance(value, str):
+        raise ConfigError(f"{where}: unsupported weights value {value!r}")
+    try:
+        welfare_shares(value, n)
+    except InvalidWeightsError as exc:
+        raise ConfigError(f"{where}: {exc}")
+    return value
 
 
 def _read_json(path: Path, what: str):
@@ -303,19 +299,13 @@ def cmd_summary(args) -> int:
 
 
 def _resolve_weights_arg(args, cfg: RunConfig):
-    """A weight rule for :func:`settle`, or proportions scaled to the welfare
-    gain W, which the user cannot know in advance."""
-    value = cfg.weights
-    if args.weights in _WEIGHT_RULES:
-        value = args.weights
-    elif args.weights is not None:     # a JSON file
-        path = Path(args.weights)
-        value = _weights_from_value(_read_json(path, "weights file"), str(path),
-                                    len(cfg.agents))
-    if isinstance(value, str):
-        return value
-    p = np.asarray(value, dtype=float)
-    return lambda W: W * p / p.sum()
+    """The welfare split for :func:`settle`: ``--weights`` (a rule name or a
+    JSON file of proportions), else the config's ``weights``."""
+    if args.weights is None or args.weights in WEIGHT_RULES:
+        return args.weights or cfg.weights
+    path = Path(args.weights)
+    return _weights_from_value(_read_json(path, "weights file"), str(path),
+                               len(cfg.agents))
 
 
 def cmd_po_decentralized(args) -> int:
@@ -490,10 +480,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_summary)
 
     p = sub.add_parser("po-decentralized",
-                       help="peer-to-peer Pareto-optimal allocation")
+                       help="peer-to-peer allocation, optimal among comonotone "
+                            "(layer) allocations")
     add_common(p)
     p.add_argument("--weights", default=None,
-                   help="welfare split: equal, last, or a JSON file of proportions")
+                   help="welfare split as proportions of the welfare gain: "
+                        "equal, last, or a JSON file of proportions")
     p.set_defaults(func=cmd_po_decentralized)
 
     p = sub.add_parser("po-centralized",

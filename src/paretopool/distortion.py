@@ -42,8 +42,6 @@ PARAM_NAMES: dict[str, tuple[str, ...]] = {
 
 # Below this exponent the Kahneman-Tversky curve stops being monotone.
 KT_GAMMA_MIN = 0.279
-# Central finite-difference step used for the Kahneman-Tversky pra.
-KT_FD_STEP = 1e-6
 # Grid resolution for the monotonicity check in validate().
 GRID_POINTS = 10_000
 _MONOTONE_SLACK = 1e-12
@@ -218,10 +216,8 @@ class Distortion:
     def pra(self, t: float) -> float:
         """Probability risk aversion -T''(t)/T'(t) at an interior point.
 
-        Closed forms are used for every family that has one; the
-        Kahneman-Tversky index falls back to central finite differences
-        with step ``KT_FD_STEP``.  Tabulated distortions have no second
-        derivative and are rejected.
+        Every parametric family has a closed form.  Tabulated distortions
+        have no second derivative and are rejected.
         """
         t = float(t)
         if not 0.0 < t < 1.0:
@@ -242,21 +238,21 @@ class Distortion:
             raise SingularityError(
                 f"tvar distortion has zero slope at t={t} >= alpha={self.params[0]}")
         if f == KAHNEMAN_TVERSKY:
-            return self._pra_finite_difference(t)
+            # With s = 1 - t, D = t**g + s**g and A = t**(g-1) - s**(g-1):
+            # u = T'/T = g/t - A/D and T''/T = u' + u**2, so
+            # pra = -(u' + u**2)/u.  u and u' are carried times t and t**2
+            # (tu, t2du) so that no power of t overflows as t -> 0.
+            g, s = self.params[0], 1.0 - t
+            a, b = t ** g, s ** g
+            D = a + b
+            r = (a - t * b / s) / D                    # t * A / D
+            tu = g - r
+            if tu <= 0.0:
+                raise SingularityError(f"kahneman_tversky slope T'({t}) <= 0")
+            t2du = -g - (g - 1.0) * (a + t * t * b / (s * s)) / D + g * r * r
+            return -(t2du + tu * tu) / (t * tu)
         raise UnsupportedOperationError(
             "pra is undefined for tabulated distortions")
-
-    def _pra_finite_difference(self, t: float) -> float:
-        h = KT_FD_STEP
-        if t <= h or t >= 1.0 - h:
-            raise DomainError(
-                f"finite-difference pra needs t in ({h}, {1 - h}), got {t}")
-        fm, f0, fp = self(t - h), self(t), self(t + h)
-        d1 = (fp - fm) / (2.0 * h)
-        if d1 <= 0.0:
-            raise SingularityError(f"estimated T'({t}) <= 0")
-        d2 = (fp - 2.0 * f0 + fm) / (h * h)
-        return -d2 / d1
 
     def rpra(self, t: float) -> float:
         """Relative probability risk aversion t * pra(t)."""

@@ -29,7 +29,7 @@ class ProfileMismatchError(ParetopoolError, ValueError):
 
 
 class InvalidWeightsError(ParetopoolError, ValueError):
-    """A welfare weight vector is negative or does not sum to the total."""
+    """Welfare weights are not a rule name or one valid proportion per agent."""
 
 
 class ResourceLimitError(ParetopoolError, RuntimeError):

@@ -1,11 +1,13 @@
 """Pareto-optimal peer-to-peer risk sharing for distortion-risk-measure agents.
 
-The aggregate loss S is split into layers between 0 and its sorted distinct
+The solvers are optimal among comonotone (layer) allocations.  The
+aggregate loss S is split into layers between 0 and its sorted distinct
 values.  On each layer the cheapest distorted survival probability across
-agents decides who carries that slice; side payments then redistribute the
-welfare gain so that every agent improves by a chosen amount.  Robust agents
-carry several candidate distortions and the solver maximises the layer value
-over the finite candidate product.
+agents decides who carries that slice.  Side payments then split the
+welfare gain W in non-negative proportions of W, resolved by
+:func:`welfare_shares`, the one reader of welfare weights.  Robust agents
+carry several candidate distortions and the solver maximises the layer
+value over the finite candidate product.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ log = logging.getLogger(__name__)
 # (in market order) carries the layer.
 TIE_TOL = 1e-12
 PRODUCT_CAP = 1_000_000
+# Named welfare splits: the proportions of W that each rule gives n agents.
+WEIGHT_RULES = {"equal": np.ones, "last": lambda n: np.eye(n)[-1]}
 # Survival level whose VaR gives the deductible of an all-Prelec market.
 PRELEC_SPLIT_LEVEL = math.exp(-1.0)
 
@@ -55,20 +59,26 @@ class AgentSpec:
         object.__setattr__(self, "endowment", x)
 
 
-def _check_market(agents, alloc: LayerAllocation | None = None) -> None:
+def _check_market(agents, alloc: LayerAllocation | None = None) -> np.ndarray:
+    """The aggregate loss S of a market, after checking that the agents share
+    one state set and that ``alloc``, if given, splits all of S among them."""
     if not agents:
         raise DomainError("at least one agent required")
     m = agents[0].belief.state_count
     for a in agents:
         if a.belief.state_count != m:
             raise ProfileMismatchError("agents must share one state set")
+    S = np.sum([a.endowment for a in agents], axis=0)
     if alloc is not None and alloc.agent_count != len(agents):
         raise ProfileMismatchError("allocation and agent list disagree on size")
+    if alloc is not None and alloc.breakpoints[-1] < S.max() * (1.0 - 1e-12):
+        raise ProfileMismatchError(f"allocation covers losses up to {alloc.breakpoints[-1]}, "
+                                   f"below the market's largest aggregate loss {S.max()}")
+    return S
 
 
 def aggregate_loss(agents) -> np.ndarray:
-    _check_market(agents)
-    return np.sum([a.endowment for a in agents], axis=0)
+    return _check_market(agents)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,14 +195,14 @@ def solve_fixed(agents, *, chosen: tuple[int, ...] | None = None
     index.  Returns the allocation (side payments zeroed) and the optimum
     value  sum_k length_k * min_i T_i(Q_i(S > b_k)).
     """
-    _check_market(agents)
+    S = _check_market(agents)
     n = len(agents)
     if chosen is None:
         if any(len(a.distortions) != 1 for a in agents):
             raise UnsupportedOperationError(
                 "solve_fixed needs singleton candidate sets; use solve_robust")
         chosen = (0,) * n
-    grid = layer_decomposition(aggregate_loss(agents), [a.belief for a in agents])
+    grid = layer_decomposition(S, [a.belief for a in agents])
     return _solve_on_grid(agents, grid, chosen)
 
 
@@ -228,13 +238,13 @@ def solve_robust(agents) -> RobustSolution:
     when the allocation's worst-case total exceeds it beyond the tie band
     ``TIE_TOL``, a warning says the allocation is not certified optimal.
     """
-    _check_market(agents)
+    S = _check_market(agents)
     sizes = [len(a.distortions) for a in agents]
     product = math.prod(sizes)
     if product > PRODUCT_CAP:
         raise ResourceLimitError(
             f"candidate product {product} exceeds cap {PRODUCT_CAP}")
-    grid = layer_decomposition(aggregate_loss(agents), [a.belief for a in agents])
+    grid = layer_decomposition(S, [a.belief for a in agents])
     tables = [[d(grid.survivals[i]) for d in a.distortions]
               for i, a in enumerate(agents)]
     lengths = grid.lengths
@@ -263,48 +273,53 @@ def _robust_values(agents, profiles) -> np.ndarray:
 def side_payments(alloc: LayerAllocation, agents, weights=None) -> np.ndarray:
     """Side payments c_i delivering the chosen welfare split.
 
-        c_i = rho_i(X_i) - rho_i(g_i(S)) - w_i
+        c_i = rho_i(X_i) - rho_i(g_i(S)) - W * p_i / sum(p)
 
-    with rho_i the agent's (robust) risk measure and w_i >= 0 summing to the
-    total welfare gain W.  ``weights`` may be None or "equal" (w_i = W / n),
-    "last" (all of W to the last agent) or an explicit vector whose sum is
-    W within 1e-9 * max(1, |W|)."""
+    with rho_i the agent's (robust) risk measure, W the total welfare gain
+    and p the non-negative proportions of W that :func:`welfare_shares`
+    reads from ``weights``: None or "equal" (W / n each), "last" (all of W
+    to the last agent) or one proportion per agent."""
     return _payments(*_pre_trade_values(agents, alloc), weights)
 
 
 def _pre_trade_values(agents, alloc: LayerAllocation):
     """rho_i(X_i) and rho_i(g_i(S)), the risks before side payments."""
-    _check_market(agents, alloc)
-    S = aggregate_loss(agents)
+    S = _check_market(agents, alloc)
     return (_robust_values(agents, [a.endowment for a in agents]),
             _robust_values(agents, alloc.coverage(S)))
 
 
 def _payments(initial, pre, weights) -> np.ndarray:
-    total = float(np.sum(initial - pre))
-    if callable(weights):
-        weights = weights(total)
-    return initial - pre - _resolve_weights(weights, total, len(initial))
+    p = welfare_shares(weights, len(initial))
+    return initial - pre - float(np.sum(initial - pre)) * p / p.sum()
 
 
-def _resolve_weights(weights, total: float, n: int) -> np.ndarray:
-    if weights is None or (isinstance(weights, str) and weights == "equal"):
-        return np.full(n, total / n)
-    if isinstance(weights, str):
-        if weights == "last":
-            w = np.zeros(n)
-            w[-1] = total
-            return w
-        raise InvalidWeightsError(f"unknown weight rule '{weights}'")
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise InvalidWeightsError(f"expected {n} weights, got shape {w.shape}")
-    if np.any(w < 0.0):
-        raise InvalidWeightsError("welfare weights must be non-negative")
-    if abs(float(np.sum(w)) - total) > 1e-9 * max(1.0, abs(total)):
-        raise InvalidWeightsError(
-            f"weights sum to {float(np.sum(w))!r}, expected the welfare gain {total!r}")
-    return w
+def welfare_shares(weights, n: int) -> np.ndarray:
+    """Proportions p of the welfare gain W, one per agent: i gets W p_i / sum(p).
+
+    ``weights`` is None or "equal", "last" (all of W to the last agent) or
+    n finite, non-negative proportions with a positive, finite sum; anything
+    else raises :class:`InvalidWeightsError`.  A vector comes back scaled by
+    a power of two, which is exact, so that W * p cannot overflow.
+    """
+    if weights is None:
+        weights = "equal"
+    if isinstance(weights, str) and weights in WEIGHT_RULES:
+        return WEIGHT_RULES[weights](n)
+    try:
+        p = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError):
+        p = None
+    if p is None or p.ndim != 1:
+        raise InvalidWeightsError(f"weights must be one of {tuple(WEIGHT_RULES)} or a "
+                                  f"vector of proportions, got {weights!r}")
+    if p.size != n:
+        raise InvalidWeightsError(f"{p.size} weights for {n} agents")
+    if not (np.isfinite(p).all() and (p >= 0.0).all()
+            and 0.0 < sum(p.tolist()) < math.inf):
+        raise InvalidWeightsError("weight proportions must be non-negative "
+                                  "with a positive finite sum")
+    return np.ldexp(p, -np.frexp(p.max())[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,8 +351,7 @@ class MarketReport:
 
 def welfare_report(agents, alloc: LayerAllocation) -> MarketReport:
     """Evaluate initial and post-trade risk for a finished allocation."""
-    _check_market(agents, alloc)
-    S = aggregate_loss(agents)
+    S = _check_market(agents, alloc)
     return _market_report(_robust_values(agents, [a.endowment for a in agents]),
                           _robust_values(agents, alloc.profiles(S)))
 
@@ -362,8 +376,8 @@ def settle(agents, alloc: LayerAllocation,
     The same values as :func:`side_payments`, :func:`with_side_payments`
     and :func:`welfare_report` of the result, with each agent's risk
     evaluated once per profile: rho_i(X_i), rho_i(g_i(S)) and
-    rho_i(g_i(S) + c_i).  ``weights`` is what :func:`side_payments` takes,
-    or a function of the welfare gain W that returns it.
+    rho_i(g_i(S) + c_i).  ``weights`` gives the non-negative proportions of
+    the welfare gain W, as for :func:`side_payments`.
     """
     initial, pre = _pre_trade_values(agents, alloc)
     settled = with_side_payments(alloc, _payments(initial, pre, weights))

@@ -183,14 +183,23 @@ def test_config_integer_past_the_float_range_is_config_error(tmp_path, capsys, d
     assert capsys.readouterr().err.startswith("config error: config")
 
 
-@pytest.mark.parametrize("vector", ["[NaN, 1, 1]", "[Infinity, 1, 1]", "[true, false, true]"])
+WEIGHTS_FILE_ERRORS = {
+    "[NaN, 1, 1]": "[0]: must be a finite number",
+    "[Infinity, 1, 1]": "[0]: must be a finite number",
+    "[true, false, true]": "[0]: must be a finite number",
+    "[0, 0, 0]": ": weight proportions must be non-negative with a positive finite sum",
+}
+
+
+@pytest.mark.parametrize("vector", list(WEIGHTS_FILE_ERRORS))
 def test_weights_file_malformed_numbers_are_config_errors(workdir, capsys, vector):
     wfile = workdir / "w.json"
     wfile.write_text(vector)
     assert run(workdir, "po-decentralized", "--config", workdir / "config.json",
                "--data", workdir / "data.csv", "--out", workdir / "x",
                "--weights", wfile) == 4
-    assert capsys.readouterr().err.startswith(f"config error: {wfile}[0]: must be a finite number")
+    assert capsys.readouterr().err.startswith(
+        f"config error: {wfile}{WEIGHTS_FILE_ERRORS[vector]}")
     assert not (workdir / "x").exists()
 
 

@@ -199,6 +199,15 @@ def test_kt_pra_positive_near_zero_with_single_crossing():
             assert 0.0 < t_star < 0.05
 
 
+def test_kt_pra_closed_form():
+    # At t = 1/2 the index is -2 (1 - gamma)**2 / gamma; it stays finite
+    # next to both ends of (0, 1).
+    for gamma in (0.3, 0.5, 0.8):
+        d = Distortion.kahneman_tversky(gamma)
+        assert d.pra(0.5) == pytest.approx(-2.0 * (1.0 - gamma) ** 2 / gamma, rel=1e-12)
+        assert all(math.isfinite(d.pra(t)) for t in (1e-7, 1.0 - 1e-7))
+
+
 def test_kt_pra_matches_coarser_finite_difference():
     d = Distortion.kahneman_tversky(0.5)
     for t in (0.2, 0.5, 0.8):

@@ -291,13 +291,8 @@ def test_settle_matches_side_payments_then_welfare_report(monkeypatch, seed, rul
     n = 4
     agents = rand_agents(rng, 7, n, candidates=2)
     alloc = solve_robust(agents).allocation
-    if rule == "proportions":
-        share = rng.random(n) + 0.1
-        weights = lambda total: total * share / share.sum()  # noqa: E731
-        expected_w = weights(welfare_report(agents, alloc).total_welfare)
-    else:
-        weights = expected_w = rule
-    c = side_payments(alloc, agents, expected_w)
+    weights = rng.random(n) + 0.1 if rule == "proportions" else rule
+    c = side_payments(alloc, agents, weights)
     expected = welfare_report(agents, with_side_payments(alloc, c))
 
     calls = []
@@ -325,18 +320,24 @@ def test_settle_validates_sizes():
     with pytest.raises(ProfileMismatchError):
         settle(agents[:1], alloc)
     with pytest.raises(InvalidWeightsError):
-        settle(agents, alloc, lambda total: [total, total])
+        settle(agents, alloc, [1.0, 1.0, 1.0])
 
 
 def test_welfare_report_side_payments_and_settle_reject_a_wrong_size_allocation():
     sp = EmpiricalSpace.uniform(2)
-    three = [AgentSpec(sp, single(Distortion.power(g)), [0.0, 4.0])
-             for g in (0.5, 0.7, 0.9)]
-    alloc, _ = solve_fixed(three)
-    for call in (welfare_report, side_payments, settle):
-        args = (alloc, three[:2]) if call is side_payments else (three[:2], alloc)
-        with pytest.raises(ProfileMismatchError, match="disagree on size"):
-            call(*args)
+
+    def market(top, gammas):
+        return [AgentSpec(sp, single(Distortion.power(g)), [0.0, top]) for g in gammas]
+
+    three = market(4.0, (0.5, 0.7, 0.9))
+    # Solved for S = (0, 10) but applied to S = (0, 20): the top layer has no owner.
+    short, _ = solve_fixed(market(5.0, (0.5, 0.7)))
+    for agents, alloc, message in ((three[:2], solve_fixed(three)[0], "disagree on size"),
+                                   (market(10.0, (0.5, 0.7)), short, "below the market")):
+        for call in (welfare_report, side_payments, settle):
+            args = (alloc, agents) if call is side_payments else (agents, alloc)
+            with pytest.raises(ProfileMismatchError, match=message):
+                call(*args)
 
 
 def test_side_payments_weight_rules():
@@ -352,19 +353,25 @@ def test_side_payments_weight_rules():
     explicit = side_payments(alloc, agents, np.array([total, 0.0]))
     report2 = welfare_report(agents, with_side_payments(alloc, explicit))
     assert report2.welfare_gains[0] == pytest.approx(total, abs=1e-12)
+    # Proportions are scale-free: power-of-two multiples pay the same split,
+    # also where W * p would underflow or overflow without an exact rescale.
+    big = [AgentSpec(a.belief, a.distortions, 100.0 * a.endowment) for a in agents]
+    big_alloc, _ = solve_fixed(big)
+    split = side_payments(big_alloc, big, [4.0, 1.0])
+    for k in (-1074, 1021):
+        assert side_payments(big_alloc, big, np.ldexp([4.0, 1.0], k)).tobytes() == split.tobytes()
+    gains = welfare_report(big, with_side_payments(big_alloc, split)).welfare_gains
+    assert gains == pytest.approx([0.8 * gains.sum(), 0.2 * gains.sum()], rel=1e-12)
 
 
 def test_side_payments_weight_validation():
     agents = two_power_agents()
     alloc, _ = solve_fixed(agents)
-    with pytest.raises(InvalidWeightsError):
-        side_payments(alloc, agents, "most")
-    with pytest.raises(InvalidWeightsError):
-        side_payments(alloc, agents, np.array([1.0]))
-    with pytest.raises(InvalidWeightsError):
-        side_payments(alloc, agents, np.array([-0.1, 0.9]))
-    with pytest.raises(InvalidWeightsError):
-        side_payments(alloc, agents, np.array([5.0, 5.0]))
+    for bad in ("most", np.array([1.0]), np.array([-0.1, 0.9]), np.array([0.0, 0.0]),
+                [math.nan, 1.0], [math.inf, 1.0], [-math.inf, 1.0],
+                [[0.5, 0.5]], lambda total: [total, 0.0]):
+        with pytest.raises(InvalidWeightsError):
+            side_payments(alloc, agents, bad)
 
 
 def test_total_welfare_invariant_across_weight_rules():
