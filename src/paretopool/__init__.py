@@ -12,7 +12,7 @@ from .centralized import (CentralizedContract, CentralizedWelfare,
                           build_indemnities, centralized_welfare,
                           solve_centralized, solve_measure_lp,
                           stackelberg_premiums)
-from .distortion import Distortion, DistortionSet, single, validate, validate_params
+from .distortion import Distortion, DistortionSet, single
 from .errors import ParetopoolError
 from .ingest import (LossPanel, correlation, parse_losses, summary_stats,
                      to_space)
@@ -58,8 +58,6 @@ __all__ = [
     "summary_stats",
     "survival",
     "to_space",
-    "validate",
-    "validate_params",
     "var",
     "welfare_report",
     "with_side_payments",

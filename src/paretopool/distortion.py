@@ -1,6 +1,7 @@
 """Probability distortion functions and their local risk-aversion indices.
 
-A distortion is a non-decreasing map T on [0, 1] with T(0) = 0 and T(1) = 1.
+A distortion is a non-decreasing map T on [0, 1] with T(0) = 0 and T(1) = 1,
+and the :class:`Distortion` constructor admits nothing else.
 Applied to survival probabilities it produces a distortion risk measure via
 the Choquet integral (see :mod:`paretopool.riskmeasure`).  This module holds
 the parametric families used throughout the package together with the
@@ -28,8 +29,6 @@ KAHNEMAN_TVERSKY = "kahneman_tversky"
 TVAR = "tvar"
 TABULATED = "tabulated"
 
-FAMILIES = (IDENTITY, POWER, PRELEC1, PRELEC2, KAHNEMAN_TVERSKY, TVAR, TABULATED)
-
 PARAM_NAMES: dict[str, tuple[str, ...]] = {
     IDENTITY: (),
     POWER: ("gamma",),
@@ -40,42 +39,29 @@ PARAM_NAMES: dict[str, tuple[str, ...]] = {
     TABULATED: (),
 }
 
-# Below this exponent the Kahneman-Tversky curve stops being monotone.
-KT_GAMMA_MIN = 0.279
-# Grid resolution for the monotonicity check in validate().
-GRID_POINTS = 10_000
+# The Kahneman-Tversky curve is non-decreasing iff g >= g* (Ingersoll 2008).
+# With x = t / (1 - t), T' has the sign of h(x) = g + x - (1 - g) * x**g, whose
+# minimum over x > 0 is g - x* (1 - g) / g at x* = (g (1 - g)) ** (1 / (1 - g));
+# so g* is the root of g**2 = (1 - g) * x*, g* = 0.2792042470149385419...
+# KT_GAMMA_MIN is the smallest double >= g*.
+KT_GAMMA_MIN = 0.27920424701493857
+# Slack on a table's monotonicity and end values.
 _MONOTONE_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of a distortion validity check.
-
-    ``violations`` is empty exactly when the checked object is valid.
-    """
-
-    violations: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_params(family: str, params: tuple[float, ...] = (),
-                    knots: tuple[tuple[float, float], ...] = ()) -> ValidationReport:
-    """Check parameter ranges for a distortion described by raw values.
-
-    The :class:`Distortion` constructor raises :class:`DomainError` on any
-    violation reported here (for example prelec1 with alpha = 1.5); unlike
-    :func:`validate` this needs no constructed Distortion.
-    """
-    issues: list[str] = []
-    if family not in FAMILIES:
-        return ValidationReport((f"unknown family '{family}'",))
+def _domain_issues(family: str, params: tuple[float, ...],
+                   knots: tuple[tuple[float, float], ...]) -> list[str]:
+    """Why (family, params, knots) is not a distortion; empty when it is."""
+    if family not in PARAM_NAMES:
+        return [f"unknown family '{family}'"]
+    if family == TABULATED:
+        return ["tabulated takes no parameters"] if params else _knot_issues(knots)
+    if knots:
+        return [f"{family} takes no knots"]
     names = PARAM_NAMES[family]
-    if family != TABULATED and len(params) != len(names):
-        return ValidationReport(
-            (f"{family} takes {len(names)} parameter(s) {names}, got {len(params)}",))
+    if len(params) != len(names):
+        return [f"{family} takes {len(names)} parameter(s) {names}, got {len(params)}"]
+    issues: list[str] = []
     vals = dict(zip(names, params))
     if family == POWER and not 0.0 < vals["gamma"] < math.inf:
         issues.append(f"power: gamma must be positive and finite, got {vals['gamma']}")
@@ -83,27 +69,30 @@ def validate_params(family: str, params: tuple[float, ...] = (),
         issues.append(f"{family}: alpha must lie in (0, 1), got {vals['alpha']}")
     if family == PRELEC2 and not 0.0 < vals["beta"] < math.inf:
         issues.append(f"prelec2: beta must be positive and finite, got {vals['beta']}")
-    if family == KAHNEMAN_TVERSKY and not KT_GAMMA_MIN < vals["gamma"] <= 1.0:
+    if family == KAHNEMAN_TVERSKY and not KT_GAMMA_MIN <= vals["gamma"] <= 1.0:
         issues.append(
-            f"kahneman_tversky: gamma must lie in ({KT_GAMMA_MIN}, 1], got {vals['gamma']}")
+            f"kahneman_tversky: gamma must lie in [{KT_GAMMA_MIN}, 1], got {vals['gamma']}")
     if family == TVAR and not 0.0 < vals["alpha"] < 1.0:
         issues.append(f"tvar: alpha must lie in (0, 1), got {vals['alpha']}")
-    if family == TABULATED:
-        issues.extend(_knot_structure_issues(knots))
-    return ValidationReport(tuple(issues))
+    return issues
 
 
-def _knot_structure_issues(knots) -> list[str]:
-    issues: list[str] = []
+def _knot_issues(knots) -> list[str]:
     if len(knots) < 2:
         return ["tabulated: at least two knots required"]
-    ts = [float(t) for t, _ in knots]
+    ts = [t for t, _ in knots]
+    vs = [v for _, v in knots]
+    issues: list[str] = []
     if ts[0] != 0.0 or ts[-1] != 1.0:
         issues.append("tabulated: knot abscissae must start at 0 and end at 1")
     if any(not a < b for a, b in zip(ts, ts[1:])):
         issues.append("tabulated: knot abscissae must be strictly increasing")
-    if any(not math.isfinite(float(v)) for _, v in knots):
+    if any(not math.isfinite(v) for v in vs):
         issues.append("tabulated: knot values must be finite")
+    if any(b - a < -_MONOTONE_SLACK for a, b in zip(vs, vs[1:])):
+        issues.append("tabulated: knot values are not non-decreasing")
+    if abs(vs[0]) > _MONOTONE_SLACK or abs(vs[-1] - 1.0) > _MONOTONE_SLACK:
+        issues.append("tabulated: values must run from 0 at t=0 to 1 at t=1")
     return issues
 
 
@@ -111,11 +100,12 @@ def _knot_structure_issues(knots) -> list[str]:
 class Distortion:
     """A distortion function, tagged by family.
 
-    ``params`` holds the family's parameters positionally in the order given
-    by ``PARAM_NAMES``; ``knots`` is used by the tabulated family only.
-    Parameter domain constraints are enforced at construction.  Knot value
-    monotonicity is deliberately not enforced here so that :func:`validate`
-    can report it; evaluation of such a table still works mechanically.
+    ``params`` holds a parametric family's parameters positionally in the
+    order given by ``PARAM_NAMES``; ``knots`` holds a tabulated one's
+    (t, T(t)) pairs.  Every instance is a distortion: the constructor raises
+    :class:`DomainError` unless the parameters lie in the family's exact
+    range, or the knots run from (0, 0) to (1, 1) with strictly increasing
+    abscissae and non-decreasing values.
     """
 
     family: str
@@ -127,9 +117,9 @@ class Distortion:
         knots = tuple((float(t), float(v)) for t, v in self.knots)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "knots", knots)
-        report = validate_params(self.family, params, knots)
-        if not report.ok:
-            raise DomainError("; ".join(report.violations))
+        issues = _domain_issues(self.family, params, knots)
+        if issues:
+            raise DomainError("; ".join(issues))
 
     @classmethod
     def identity(cls) -> "Distortion":
@@ -152,7 +142,7 @@ class Distortion:
 
     @classmethod
     def kahneman_tversky(cls, gamma: float) -> "Distortion":
-        """T(t) = t**g / (t**g + (1 - t)**g) ** (1/g), g in (0.279, 1]."""
+        """T(t) = t**g / (t**g + (1 - t)**g) ** (1/g), g in [KT_GAMMA_MIN, 1]."""
         return cls(KAHNEMAN_TVERSKY, (gamma,))
 
     @classmethod
@@ -162,7 +152,7 @@ class Distortion:
 
     @classmethod
     def tabulated(cls, knots) -> "Distortion":
-        """Piecewise-linear table of (t, T(t)) knots; evaluation only."""
+        """Piecewise-linear table of (t, T(t)) knots from (0, 0) to (1, 1)."""
         return cls(TABULATED, (), tuple(knots))
 
     def params_dict(self) -> dict[str, float]:
@@ -257,38 +247,6 @@ class Distortion:
     def rpra(self, t: float) -> float:
         """Relative probability risk aversion t * pra(t)."""
         return float(t) * self.pra(t)
-
-
-def validate(d: Distortion) -> ValidationReport:
-    """Full validity check of a constructed distortion.
-
-    Parameter ranges are re-checked, boundary values T(0) = 0 and T(1) = 1
-    are verified, and monotonicity is checked on a uniform grid of
-    ``GRID_POINTS`` points for parametric families or knot-wise for
-    tabulated ones.  Returns a report whose violation list is empty iff the
-    distortion is valid.
-    """
-    issues = list(validate_params(d.family, d.params, d.knots).violations)
-    if d.family == TABULATED:
-        vals = np.array([v for _, v in d.knots], dtype=float)
-        if np.any(np.diff(vals) < -_MONOTONE_SLACK):
-            issues.append("tabulated: knot values are not non-decreasing")
-        if vals.size and (abs(vals[0]) > _MONOTONE_SLACK or abs(vals[-1] - 1.0) > _MONOTONE_SLACK):
-            issues.append("tabulated: values must run from 0 at t=0 to 1 at t=1")
-        return ValidationReport(tuple(issues))
-    grid = np.linspace(0.0, 1.0, GRID_POINTS)
-    vals = d(grid)
-    if abs(vals[0]) > _MONOTONE_SLACK:
-        issues.append(f"T(0) = {vals[0]!r}, expected 0")
-    if abs(vals[-1] - 1.0) > _MONOTONE_SLACK:
-        issues.append(f"T(1) = {vals[-1]!r}, expected 1")
-    neg = np.diff(vals) < -_MONOTONE_SLACK
-    if np.any(neg):
-        where = grid[:-1][neg][0]
-        issues.append(f"not non-decreasing near t = {where:.6f}")
-    if np.any(vals < -_MONOTONE_SLACK) or np.any(vals > 1.0 + _MONOTONE_SLACK):
-        issues.append("values leave [0, 1]")
-    return ValidationReport(tuple(issues))
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,11 @@ def test_load_config_defaults(workdir):
     assert cfg.agents[0].endowment_column == "CA"
 
 
+def _tabulated(knots):
+    return lambda c: c["agents"][0].update(
+        distortions=[{"family": "tabulated", "params": {"knots": knots}}])
+
+
 @pytest.mark.parametrize("mutate", [
     lambda c: c.update(extra=1),
     lambda c: c.update(version=2),
@@ -119,6 +124,9 @@ def test_load_config_defaults(workdir):
     lambda c: c["agents"][0]["distortions"][0].update(family="gompertz"),
     lambda c: c["agents"][0]["distortions"][0].update(params={"gamma": 0.2}),
     lambda c: c["agents"][0].update(belief=42),
+    _tabulated([[0, 0], [0.5, 0.9], [0.75, 0.8], [1, 1]]),  # decreasing
+    _tabulated([[0, 0], [1, 0.3]]),                         # ends at 0.3
+    lambda c: c["agents"][0]["distortions"][0].update(params={"gamma": 0.2791}),
 ])
 def test_config_rejections(tmp_path, mutate):
     cfg = base_config()
@@ -136,11 +144,6 @@ def test_config_tolerances_key_is_unknown(tmp_path, capsys):
     path.write_text(json.dumps(base_config(tolerances={"tie": 1e-12})))
     assert main(["validate-config", "--config", str(path)]) == 4
     assert capsys.readouterr().err == "config error: config: unknown keys ['tolerances']\n"
-
-
-def _tabulated(knots):
-    return lambda c: c["agents"][0].update(
-        distortions=[{"family": "tabulated", "params": {"knots": knots}}])
 
 
 # Each value must be a finite JSON number; weight vectors have one entry per

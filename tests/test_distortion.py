@@ -1,6 +1,7 @@
-"""Distortion families: evaluation, risk-aversion indices, validation."""
+"""Distortion families: evaluation, risk-aversion indices, construction checks."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paretopool.distortion import (KT_GAMMA_MIN, Distortion, DistortionSet,
-                                   ValidationReport, single, validate,
-                                   validate_params)
+                                   single)
 from paretopool.errors import (DomainError, SingularityError,
                                UnsupportedOperationError)
 
@@ -23,6 +23,9 @@ ALL_PARAMETRIC = [
     Distortion.prelec2(0.6, 1.8),
     Distortion.kahneman_tversky(0.4),
     Distortion.tvar(0.3),
+    # At or near the edge of the exact parameter ranges.
+    Distortion.kahneman_tversky(KT_GAMMA_MIN),
+    Distortion.prelec2(0.05, 20.0),
 ]
 
 
@@ -76,6 +79,8 @@ def test_kt_gamma_domain():
     Distortion.kahneman_tversky(KT_GAMMA_MIN + 1e-6)
     with pytest.raises(DomainError):
         Distortion.kahneman_tversky(0.25)
+    with pytest.raises(DomainError):
+        Distortion.kahneman_tversky(0.2791)
     with pytest.raises(DomainError):
         Distortion.kahneman_tversky(1.01)
 
@@ -218,19 +223,18 @@ def test_kt_pra_matches_coarser_finite_difference():
 
 
 def test_validate_params_accepts_prelec2():
-    assert validate_params("prelec2", (0.5, 1.0)).ok
+    assert Distortion("prelec2", (0.5, 1.0)) == Distortion.prelec2(0.5, 1.0)
 
 
 def test_validate_params_rejects_prelec1_alpha():
-    report = validate_params("prelec1", (1.5,))
-    assert not report.ok
-    assert "alpha" in report.violations[0]
+    with pytest.raises(DomainError, match="alpha"):
+        Distortion("prelec1", (1.5,))
 
 
 def test_validate_params_unknown_family_and_arity():
-    assert not validate_params("gompertz", (1.0,)).ok
-    assert not validate_params("power", ()).ok
-    assert not validate_params("prelec2", (0.5,)).ok
+    for family, params in (("gompertz", (1.0,)), ("power", ()), ("prelec2", (0.5,))):
+        with pytest.raises(DomainError):
+            Distortion(family, params)
 
 
 def test_constructor_enforces_parameter_domains():
@@ -253,27 +257,54 @@ def test_constructor_rejects_non_finite_parameters(make):
 
 
 def test_validate_reports_tabulated_monotonicity():
-    d = Distortion.tabulated([(0.0, 0.0), (0.5, 0.7), (1.0, 0.6)])
-    report = validate(d)
-    assert not report.ok
-    assert any("non-decreasing" in v for v in report.violations)
+    with pytest.raises(DomainError, match="non-decreasing"):
+        Distortion.tabulated([(0.0, 0.0), (0.5, 0.7), (1.0, 0.6)])
 
 
 def test_validate_reports_tabulated_endpoints():
-    d = Distortion.tabulated([(0.0, 0.1), (1.0, 1.0)])
-    assert not validate(d).ok
+    with pytest.raises(DomainError, match="values must run from 0 at t=0 to 1 at t=1"):
+        Distortion.tabulated([(0.0, 0.1), (1.0, 1.0)])
 
 
 def test_validate_rejects_bad_knot_abscissae():
-    report = validate_params("tabulated", (), ((0.0, 0.0), (0.4, 0.2)))
-    assert not report.ok
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="abscissae must start at 0 and end at 1"):
+        Distortion("tabulated", (), ((0.0, 0.0), (0.4, 1.0)))
+    with pytest.raises(DomainError, match="abscissae must be strictly increasing"):
         Distortion.tabulated([(0.0, 0.0), (0.3, 0.5), (0.2, 0.6), (1.0, 1.0)])
 
 
 @pytest.mark.parametrize("d", ALL_PARAMETRIC, ids=lambda d: d.label())
 def test_validate_passes_parametric_families(d):
-    assert validate(d) == ValidationReport(())
+    # A grid oracle for the exact parameter ranges the constructor checks.
+    vals = d(np.linspace(0.0, 1.0, 10_000))
+    assert vals[0] == 0.0 and vals[-1] == 1.0
+    assert np.all(np.diff(vals) >= -1e-12)
+
+
+def _kt_min_slope_sign(gamma: float) -> int:
+    # The sign of min over x > 0 of g + x - (1 - g) x**g, the factor of the
+    # Kahneman-Tversky T' in x = t / (1 - t), evaluated at 50 digits.
+    with localcontext() as ctx:
+        ctx.prec = 50
+        g = Decimal(gamma)
+        x_star = (g * (1 - g)) ** (1 / (1 - g))
+        h = g - x_star * (1 - g) / g
+        return (h > 0) - (h < 0)
+
+
+def test_kt_gamma_min_is_the_monotonicity_threshold():
+    assert _kt_min_slope_sign(KT_GAMMA_MIN) >= 0
+    assert _kt_min_slope_sign(math.nextafter(KT_GAMMA_MIN, 0.0)) < 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Distortion("power", (0.5,), ((0.0, 0.0), (1.0, 1.0))),
+    lambda: Distortion("identity", (), ((0.0, 0.0), (1.0, 1.0))),
+    lambda: Distortion("tabulated", (0.3,), ((0.0, 0.0), (1.0, 1.0))),
+], ids=["power-with-knots", "identity-with-knots", "tabulated-with-params"])
+def test_constructor_rejects_fields_the_family_does_not_read(make):
+    with pytest.raises(DomainError, match="takes no"):
+        make()
 
 
 def test_distortion_set_basics():
