@@ -32,8 +32,8 @@ from .distortion import (PARAM_NAMES, POWER, TABULATED, Distortion,
                          DistortionSet, single)
 from .errors import (ConfigError, DomainError, FormatError, InvalidWeightsError,
                      ParetopoolError, UnsupportedOperationError)
-from .posolver import (WEIGHT_RULES, AgentSpec, aggregate_loss, settle,
-                       solve_robust, welfare_report, welfare_shares)
+from .posolver import (AgentSpec, aggregate_loss, settle, solve_robust,
+                       welfare_report, welfare_shares)
 from .riskmeasure import EmpiricalSpace
 
 log = logging.getLogger(__name__)
@@ -116,7 +116,7 @@ def _distortion_from_record(rec, where: str) -> Distortion:
 
 
 def _weights_from_value(value, where: str, n: int):
-    """A weight rule name or a tuple of proportions that
+    """``config.weights``: a weight rule name or a tuple of proportions that
     :func:`~paretopool.posolver.welfare_shares` accepts for n agents."""
     if isinstance(value, list):
         value = tuple(_real(v, f"{where}[{j}]") for j, v in enumerate(value))
@@ -129,19 +129,19 @@ def _weights_from_value(value, where: str, n: int):
     return value
 
 
-def _read_json(path: Path, what: str):
+def _read_json(path: Path):
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8-sig"))
     except OSError as exc:
-        raise ConfigError(f"cannot read {what}: {exc}")
+        raise ConfigError(f"cannot read config: {exc}")
     except ValueError as exc:          # bad JSON, or an integer past the digit limit
-        raise ConfigError(f"{what} is not valid JSON: {exc}")
+        raise ConfigError(f"config is not valid JSON: {exc}")
 
 
 def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file (fail-fast)."""
     path = Path(path)
-    payload = _object(_read_json(path, "config"), _TOP_KEYS, "config")
+    payload = _object(_read_json(path), _TOP_KEYS, "config")
     if _real(payload.get("version"), "config.version") != SCHEMA_VERSION:
         raise ConfigError(f"config version must be {SCHEMA_VERSION}")
     alpha = _real(payload.get("alpha", DEFAULT_ALPHA), "config.alpha")
@@ -183,7 +183,7 @@ def _load_belief(cfg: RunConfig, agent: AgentConfig, m: int) -> EmpiricalSpace |
         return None
     path = cfg.base_dir / agent.belief_file      # an absolute file stays as it is
     try:
-        values = [float(line) for line in path.read_text().split()]
+        values = [float(line) for line in path.read_text(encoding="utf-8-sig").split()]
     except (OSError, ValueError) as exc:
         raise ConfigError(f"belief file {path}: {exc}")
     if len(values) != m:
@@ -195,9 +195,10 @@ def _load_belief(cfg: RunConfig, agent: AgentConfig, m: int) -> EmpiricalSpace |
 
 
 def _read_panel(path, loss_column: str) -> ingest.LossPanel:
-    """The monthly panel of a claims CSV; text that is not UTF-8, an
-    overflowing cell sum or no usable claim row is a format error."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """The monthly panel of a claims CSV; text that is not UTF-8 (a leading
+    byte-order mark is allowed), an overflowing cell sum or no usable claim
+    row is a format error."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             panel, report = ingest.parse_losses(fh, loss_column)
         except (DomainError, UnicodeDecodeError) as exc:
@@ -212,7 +213,7 @@ def _read_panel(path, loss_column: str) -> ingest.LossPanel:
 
 
 def _load_market(args, cfg: RunConfig):
-    panel = _read_panel(args.data, args.loss_column or cfg.loss_column)
+    panel = _read_panel(args.data, cfg.loss_column)
     shared, _ = ingest.to_space(panel)
     agents = []
     for acfg in cfg.agents:
@@ -281,8 +282,7 @@ def _ranked_rows(S: np.ndarray, columns: np.ndarray) -> list:
 
 def cmd_summary(args) -> int:
     cfg = load_config(args.config) if args.config else None
-    panel = _read_panel(args.data, args.loss_column or (
-        cfg.loss_column if cfg else ingest.DEFAULT_LOSS_COLUMN))
+    panel = _read_panel(args.data, cfg.loss_column if cfg else ingest.DEFAULT_LOSS_COLUMN)
     out = _out_dir(args)
     stats = ingest.summary_stats(panel)
     header = ["statistic"] + list(panel.agents)
@@ -298,23 +298,12 @@ def cmd_summary(args) -> int:
     return 0
 
 
-def _resolve_weights_arg(args, cfg: RunConfig):
-    """The welfare split for :func:`settle`: ``--weights`` (a rule name or a
-    JSON file of proportions), else the config's ``weights``."""
-    if args.weights is None or args.weights in WEIGHT_RULES:
-        return args.weights or cfg.weights
-    path = Path(args.weights)
-    return _weights_from_value(_read_json(path, "weights file"), str(path),
-                               len(cfg.agents))
-
-
 def cmd_po_decentralized(args) -> int:
     cfg = load_config(args.config)
-    weights = _resolve_weights_arg(args, cfg)
     _, agents = _load_market(args, cfg)
     labels = [a.label for a in cfg.agents]
     solution = solve_robust(agents)
-    alloc, report = settle(agents, solution.allocation, weights)
+    alloc, report = settle(agents, solution.allocation, cfg.weights)
     out = _out_dir(args)
 
     payload = alloc.to_dict()
@@ -339,21 +328,18 @@ def cmd_po_decentralized(args) -> int:
 
 
 def _centralized_market(args):
-    """Config, labels, shared space, endowments, distortions and alpha of a
+    """Config, labels, shared space, endowments and distortions of a
     centralized command (po-centralized, stackelberg, sweep)."""
     cfg = load_config(args.config)
     dists = _require_plain_centralized(cfg)
-    alpha = args.alpha if args.alpha is not None else cfg.alpha
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     space, agents = _load_market(args, cfg)
     labels = [a.label for a in cfg.agents]
-    return cfg, labels, space, [a.endowment for a in agents], dists, alpha
+    return cfg, labels, space, [a.endowment for a in agents], dists
 
 
 def cmd_po_centralized(args) -> int:
-    _, labels, space, endowments, dists, alpha = _centralized_market(args)
-    contract = central.solve_centralized(space, endowments, dists, alpha)
+    cfg, labels, space, endowments, dists = _centralized_market(args)
+    contract = central.solve_centralized(space, endowments, dists, cfg.alpha)
     welfare = central.centralized_welfare(space, endowments, dists, contract)
     out = _out_dir(args)
     _write_json(out / "contract.json", contract.to_dict(labels))
@@ -369,8 +355,8 @@ def cmd_po_centralized(args) -> int:
 
 
 def cmd_stackelberg(args) -> int:
-    _, labels, space, endowments, dists, alpha = _centralized_market(args)
-    contract = central.solve_centralized(space, endowments, dists, alpha)
+    cfg, labels, space, endowments, dists = _centralized_market(args)
+    contract = central.solve_centralized(space, endowments, dists, cfg.alpha)
     premiums = central.stackelberg_premiums(space, endowments, dists, contract)
     welfare = central.centralized_welfare(space, endowments, dists, contract,
                                           premiums=premiums)
@@ -422,7 +408,7 @@ def sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha):
 
 
 def cmd_sweep(args) -> int:
-    cfg, labels, space, endowments, _, alpha = _centralized_market(args)
+    cfg, labels, space, endowments, _ = _centralized_market(args)
     if args.sweep_agent is None:
         sweep_index = len(labels) - 1
     elif args.sweep_agent in labels:
@@ -439,7 +425,7 @@ def cmd_sweep(args) -> int:
     if not gammas or not all(0.0 < g < math.inf for g in gammas):
         raise ConfigError("sweep grid needs positive finite gamma values")
     dist_sets = [a.distortions for a in cfg.agents]
-    rows = sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha)
+    rows = sweep_rows(space, endowments, dist_sets, sweep_index, gammas, cfg.alpha)
     out = _out_dir(args)
     _write_csv(out / "sweep.csv",
                ["gamma", "rpra", "centralized_avg_gain",
@@ -470,10 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
         if data:
             p.add_argument("--data", required=True,
                            help="claim-level CSV input")
-            p.add_argument("--loss-column", default=None,
-                           help="override the loss column name")
-        p.add_argument("--out", default=DEFAULT_OUT,
-                       help="output directory (created if missing)")
+            p.add_argument("--out", default=DEFAULT_OUT,
+                           help="output directory (created if missing)")
 
     p = sub.add_parser("summary", help="panel statistics and correlations")
     add_common(p, config_required=False)
@@ -483,28 +467,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="peer-to-peer allocation, optimal among comonotone "
                             "(layer) allocations")
     add_common(p)
-    p.add_argument("--weights", default=None,
-                   help="welfare split as proportions of the welfare gain: "
-                        "equal, last, or a JSON file of proportions")
     p.set_defaults(func=cmd_po_decentralized)
 
     p = sub.add_parser("po-centralized",
                        help="centralized Pareto-optimal indemnities")
     add_common(p)
-    p.add_argument("--alpha", type=float, default=None,
-                   help="insurer expected-shortfall level")
     p.set_defaults(func=cmd_po_centralized)
 
     p = sub.add_parser("stackelberg",
                        help="insurer-optimal premiums on the centralized contract")
     add_common(p)
-    p.add_argument("--alpha", type=float, default=None)
     p.set_defaults(func=cmd_stackelberg)
 
     p = sub.add_parser("sweep",
                        help="welfare comparison across a power-gamma grid")
     add_common(p)
-    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--grid", required=True,
                    help="comma-separated gamma values")
     p.add_argument("--sweep-agent", default=None,

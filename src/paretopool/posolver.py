@@ -42,7 +42,8 @@ class AgentSpec:
     """One market participant.
 
     ``belief`` is the agent's own probability over the shared state set,
-    ``distortions`` the candidate set of its (robust) risk measure and
+    ``distortions`` the candidate set of its (robust) risk measure (an
+    iterable of distortions becomes a :class:`DistortionSet`) and
     ``endowment`` the non-negative per-state initial loss.
     """
 
@@ -51,6 +52,8 @@ class AgentSpec:
     endowment: np.ndarray
 
     def __post_init__(self) -> None:
+        if not isinstance(self.distortions, DistortionSet):
+            object.__setattr__(self, "distortions", DistortionSet(self.distortions))
         x = as_profile(self.belief, self.endowment)
         if np.any(x < 0.0):
             raise DomainError("endowments must be non-negative losses")
@@ -413,4 +416,6 @@ def with_side_payments(alloc: LayerAllocation, c) -> LayerAllocation:
     c = np.asarray(c, dtype=float)
     if c.shape != (alloc.agent_count,):
         raise ProfileMismatchError("side payment vector has wrong length")
+    if not np.isfinite(c).all():
+        raise DomainError("side payments must be finite")
     return replace(alloc, side_payments=c)

@@ -146,34 +146,43 @@ def test_config_tolerances_key_is_unknown(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: config: unknown keys ['tolerances']\n"
 
 
-# Each value must be a finite JSON number; weight vectors have one entry per
-# agent so that only the entry itself is at fault.
+# Each value must be a finite JSON number, and the message names the field;
+# weight vectors have one entry per agent so that only the entry itself is at
+# fault.
+_FINITE = ": must be a finite number"
+_KNOTS = "config.agents[0].distortions[0].params.knots"
 MALFORMED_NUMBERS = {
-    "alpha abc": lambda c: c.update(alpha="abc"),
-    "alpha list": lambda c: c.update(alpha=[1]),
-    "alpha numeric string": lambda c: c.update(alpha="0.2"),
-    "alpha bool": lambda c: c.update(alpha=True),
-    "knots scalar": _tabulated(3),
-    "knots triples": _tabulated([[0, 0, 0], [1, 1, 1]]),
-    "knots string": _tabulated([["a", 0], [1, 1]]),
-    "gamma inf": lambda c: c["agents"][2]["distortions"][0]["params"].update(gamma=math.inf),
-    "weights nan": lambda c: c.update(weights=[math.nan, 1, 1]),
-    "weights inf": lambda c: c.update(weights=[math.inf, 1, 1]),
-    "weights bool": lambda c: c.update(weights=[True, False, True]),
-    "weights sum overflows": lambda c: c.update(weights=[1e308, 1e308, 1]),
+    "alpha abc": (lambda c: c.update(alpha="abc"), "config.alpha" + _FINITE),
+    "alpha list": (lambda c: c.update(alpha=[1]), "config.alpha" + _FINITE),
+    "alpha numeric string": (lambda c: c.update(alpha="0.2"), "config.alpha" + _FINITE),
+    "alpha bool": (lambda c: c.update(alpha=True), "config.alpha" + _FINITE),
+    "knots scalar": (_tabulated(3), _KNOTS + ": must be a list of [t, T(t)] pairs"),
+    "knots triples": (_tabulated([[0, 0, 0], [1, 1, 1]]),
+                      _KNOTS + ": must be a list of [t, T(t)] pairs"),
+    "knots string": (_tabulated([["a", 0], [1, 1]]), _KNOTS + "[0][0]" + _FINITE),
+    "gamma inf": (lambda c: c["agents"][2]["distortions"][0]["params"].update(gamma=math.inf),
+                  "config.agents[2].distortions[0].params.gamma" + _FINITE),
+    "weights nan": (lambda c: c.update(weights=[math.nan, 1, 1]), "config.weights[0]" + _FINITE),
+    "weights inf": (lambda c: c.update(weights=[math.inf, 1, 1]), "config.weights[0]" + _FINITE),
+    "weights bool": (lambda c: c.update(weights=[True, False, True]),
+                     "config.weights[0]" + _FINITE),
+    "weights sum overflows": (lambda c: c.update(weights=[1e308, 1e308, 1]),
+                              "config.weights: weight proportions must be non-negative "
+                              "with a positive finite sum"),
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_NUMBERS))
 def test_config_malformed_numbers_are_config_errors(tmp_path, capsys, case):
+    mutate, message = MALFORMED_NUMBERS[case]
     cfg = base_config()
-    MALFORMED_NUMBERS[case](cfg)
+    mutate(cfg)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     with pytest.raises(ConfigError):
         load_config(path)
     assert main(["validate-config", "--config", str(path)]) == 4
-    assert capsys.readouterr().err.startswith("config error: config.")
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
 @pytest.mark.parametrize("digits", [400, 5000])
@@ -186,23 +195,23 @@ def test_config_integer_past_the_float_range_is_config_error(tmp_path, capsys, d
     assert capsys.readouterr().err.startswith("config error: config")
 
 
+# Each weight vector, written as JSON text into the config, and the exact
+# config error that po-decentralized reports for it.
 WEIGHTS_FILE_ERRORS = {
-    "[NaN, 1, 1]": "[0]: must be a finite number",
-    "[Infinity, 1, 1]": "[0]: must be a finite number",
-    "[true, false, true]": "[0]: must be a finite number",
-    "[0, 0, 0]": ": weight proportions must be non-negative with a positive finite sum",
+    "[NaN, 1, 1]": "config.weights[0]: must be a finite number",
+    "[Infinity, 1, 1]": "config.weights[0]: must be a finite number",
+    "[true, false, true]": "config.weights[0]: must be a finite number",
+    "[0, 0, 0]": ("config.weights: weight proportions must be non-negative "
+                  "with a positive finite sum"),
 }
 
 
 @pytest.mark.parametrize("vector", list(WEIGHTS_FILE_ERRORS))
 def test_weights_file_malformed_numbers_are_config_errors(workdir, capsys, vector):
-    wfile = workdir / "w.json"
-    wfile.write_text(vector)
+    (workdir / "config.json").write_text(json.dumps(base_config(weights=json.loads(vector))))
     assert run(workdir, "po-decentralized", "--config", workdir / "config.json",
-               "--data", workdir / "data.csv", "--out", workdir / "x",
-               "--weights", wfile) == 4
-    assert capsys.readouterr().err.startswith(
-        f"config error: {wfile}{WEIGHTS_FILE_ERRORS[vector]}")
+               "--data", workdir / "data.csv", "--out", workdir / "x") == 4
+    assert capsys.readouterr().err.startswith(f"config error: {WEIGHTS_FILE_ERRORS[vector]}")
     assert not (workdir / "x").exists()
 
 
@@ -272,9 +281,11 @@ def test_summary_loss_column_override(tmp_path):
     data = tmp_path / "alt.csv"
     data.write_text("dateOfLoss,state,amountPaid,buildingDamageAmount\n"
                     "2021-01-04,CA,1,100\n2021-02-04,CA,2,30\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(base_config(loss_column="buildingDamageAmount")))
     out = tmp_path / "o"
-    assert main(["summary", "--data", str(data), "--out", str(out),
-                 "--loss-column", "buildingDamageAmount"]) == 0
+    assert main(["summary", "--config", str(config), "--data", str(data),
+                 "--out", str(out)]) == 0
     rows = read_csv(out / "summary.csv")
     by_stat = {r[0]: r[1:] for r in rows[1:]}
     assert float(by_stat["mean"][0]) == 65.0
@@ -329,9 +340,9 @@ def _per_cell_retention(S, columns) -> str:
 def test_retention_csvs_match_per_cell_formatting(workdir):
     space, cfg, agents = market_from(workdir)
     S = np.sum([a.endowment for a in agents], axis=0)
+    (workdir / "config.json").write_text(json.dumps(base_config(weights="last")))
     assert run(workdir, "po-decentralized", "--config", workdir / "config.json",
-               "--data", workdir / "data.csv", "--weights", "last",
-               "--out", workdir / "dec") == 0
+               "--data", workdir / "data.csv", "--out", workdir / "dec") == 0
     alloc = LayerAllocation.from_dict(
         json.loads((workdir / "dec" / "allocation.json").read_text()))
     raw, norm = alloc.profiles(S), alloc.coverage(S)
@@ -351,9 +362,10 @@ def test_retention_csvs_match_per_cell_formatting(workdir):
 
 
 def test_po_decentralized_weights_last(workdir):
+    (workdir / "config.json").write_text(json.dumps(base_config(weights="last")))
     out = workdir / "dec_last"
     code = run(workdir, "po-decentralized", "--config", workdir / "config.json",
-               "--data", workdir / "data.csv", "--out", out, "--weights", "last")
+               "--data", workdir / "data.csv", "--out", out)
     assert code == 0
     report = json.loads((out / "market_report.json").read_text())
     gains = report["welfare_gains"]
@@ -363,11 +375,10 @@ def test_po_decentralized_weights_last(workdir):
 
 
 def test_po_decentralized_weights_file(workdir):
-    wfile = workdir / "w.json"
-    wfile.write_text("[3, 1, 0]")
+    (workdir / "config.json").write_text(json.dumps(base_config(weights=[3, 1, 0])))
     out = workdir / "dec_w"
     code = run(workdir, "po-decentralized", "--config", workdir / "config.json",
-               "--data", workdir / "data.csv", "--out", out, "--weights", wfile)
+               "--data", workdir / "data.csv", "--out", out)
     assert code == 0
     report = json.loads((out / "market_report.json").read_text())
     gains = report["welfare_gains"]
@@ -393,15 +404,13 @@ def test_po_decentralized_weights_file_at_flood_scale(tmp_path):
         {"label": label, "distortions": [{"family": family[j % 2],
                                           "params": {"gamma": round(0.4 + 0.05 * j, 2)}}]}
         for j, label in enumerate(labels)])
-    (tmp_path / "config.json").write_text(json.dumps(cfg))
     for k in range(4):
         props = np.round(rng.uniform(0.5, 2.0, len(labels)), 3)
-        wfile = tmp_path / f"w{k}.json"
-        wfile.write_text(json.dumps(props.tolist()))
+        cfg["weights"] = props.tolist()
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
         out = tmp_path / f"dec_w{k}"
         assert run(tmp_path, "po-decentralized", "--config", tmp_path / "config.json",
-                   "--data", tmp_path / "data.csv", "--out", out,
-                   "--weights", wfile) == 0
+                   "--data", tmp_path / "data.csv", "--out", out) == 0
         report = json.loads((out / "market_report.json").read_text())
         total = report["total_welfare"]
         assert total > 1e7
@@ -499,9 +508,10 @@ def test_po_centralized_outputs(workdir):
 
 
 def test_po_centralized_alpha_override(workdir):
+    (workdir / "config.json").write_text(json.dumps(base_config(alpha=0.4)))
     out = workdir / "cen_a"
     code = run(workdir, "po-centralized", "--config", workdir / "config.json",
-               "--data", workdir / "data.csv", "--out", out, "--alpha", "0.4")
+               "--data", workdir / "data.csv", "--out", out)
     assert code == 0
     saved = json.loads((out / "contract.json").read_text())
     assert saved["alpha"] == 0.4
@@ -604,11 +614,13 @@ def test_sweep_rows_rejects_candidate_sets():
 
 
 def test_sweep_alpha_out_of_range_is_config_error(workdir, capsys):
-    for alpha in ("1.5", "0"):
+    for alpha in (1.5, 0):
+        (workdir / "config.json").write_text(json.dumps(base_config(alpha=alpha)))
         assert run(workdir, "sweep", "--config", workdir / "config.json",
                    "--data", workdir / "data.csv", "--out", workdir / "x",
-                   "--grid", "0.5", "--alpha", alpha) == 4
+                   "--grid", "0.5") == 4
         assert "config error: alpha must lie in (0, 1)" in capsys.readouterr().err
+        assert not (workdir / "x").exists()
 
 
 def test_sweep_rejects_non_power_agent(workdir):
@@ -673,19 +685,71 @@ def test_claims_that_are_not_utf8_are_input_error(workdir, capsys):
     assert capsys.readouterr().err.startswith(f"input error: {data}: 'utf-8' codec")
 
 
+# A leading UTF-8 byte-order mark, as some editors and spreadsheet exports
+# write, is read as no text at all.
+BOM = "\ufeff"
+
+
+def test_claims_with_a_byte_order_mark(workdir):
+    data = workdir / "bom.csv"
+    data.write_text(BOM + DATA_CSV, encoding="utf-8")
+    assert run(workdir, "summary", "--data", data, "--out", workdir / "bom") == 0
+    assert run(workdir, "summary", "--data", workdir / "data.csv", "--out", workdir / "plain") == 0
+    for name in ("summary.csv", "correlation.csv"):
+        assert (workdir / "bom" / name).read_bytes() == (workdir / "plain" / name).read_bytes()
+
+
+def test_config_with_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(BOM + json.dumps(base_config()), encoding="utf-8")
+    assert main(["validate-config", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == "config ok\n"
+
+
+def test_belief_file_with_a_byte_order_mark(workdir):
+    m = parse_losses(DATA_CSV)[0].month_count
+    (workdir / "belief.txt").write_text(BOM + "\n".join([repr(1.0 / m)] * m), encoding="utf-8")
+    cfg = base_config()
+    cfg["agents"][0]["belief"] = {"weights_file": "belief.txt"}
+    (workdir / "config.json").write_text(json.dumps(cfg))
+    assert run(workdir, "po-decentralized", "--config", workdir / "config.json",
+               "--data", workdir / "data.csv", "--out", workdir / "dec") == 0
+
+
 def test_wrong_length_weights_are_config_errors_from_one_validator(workdir, capsys):
     (workdir / "short.json").write_text(json.dumps(base_config(weights=[1.0, 2.0])))
     assert run(workdir, "po-decentralized", "--config", workdir / "short.json",
                "--data", workdir / "data.csv", "--out", workdir / "x") == 4
-    from_config = capsys.readouterr().err
-    wfile = workdir / "w.json"
-    wfile.write_text("[1, 2]")
-    assert run(workdir, "po-decentralized", "--config", workdir / "config.json",
-               "--data", workdir / "data.csv", "--out", workdir / "x",
-               "--weights", wfile) == 4
-    from_file = capsys.readouterr().err
-    assert from_config == "config error: config.weights: 2 weights for 3 agents\n"
-    assert from_file == f"config error: {wfile}: 2 weights for 3 agents\n"
+    assert capsys.readouterr().err == "config error: config.weights: 2 weights for 3 agents\n"
+    assert not (workdir / "x").exists()
+
+
+# -- removed options: the run config is the one source of alpha, weights and
+# the loss column -------------------------------------------------------------
+
+
+REMOVED_OPTIONS = {
+    "po-centralized --alpha": (["po-centralized"], ["--alpha", "0.4"]),
+    "stackelberg --alpha": (["stackelberg"], ["--alpha", "0.4"]),
+    "sweep --alpha": (["sweep", "--grid", "0.5"], ["--alpha", "0.4"]),
+    "po-decentralized --weights": (["po-decentralized"], ["--weights", "last"]),
+    **{f"{cmd[0]} --loss-column": (cmd, ["--loss-column", "amountPaid"])
+       for cmd in [["summary"], ["po-decentralized"], ["po-centralized"],
+                   ["stackelberg"], ["sweep", "--grid", "0.5"]]},
+    "validate-config --out": (["validate-config"], ["--out", "out"]),
+}
+
+
+@pytest.mark.parametrize("case", list(REMOVED_OPTIONS))
+def test_removed_options_are_unrecognized(workdir, capsys, case):
+    command, removed = REMOVED_OPTIONS[case]
+    files = ["--config", workdir / "config.json"]
+    if command[0] != "validate-config":
+        files += ["--data", workdir / "data.csv", "--out", workdir / "x"]
+    with pytest.raises(SystemExit) as exit_info:
+        run(workdir, *command, *files, *removed)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
     assert not (workdir / "x").exists()
 
 

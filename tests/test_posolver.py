@@ -268,6 +268,13 @@ def test_with_side_payments_validates_length():
         with_side_payments(alloc, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_with_side_payments_rejects_non_finite_payments(bad):
+    alloc, _ = solve_fixed(two_power_agents())
+    with pytest.raises(DomainError, match="side payments must be finite"):
+        with_side_payments(alloc, [bad, 0.0])
+
+
 # -- side payments and welfare ------------------------------------------------
 
 
@@ -530,6 +537,18 @@ def test_agent_spec_validation():
     a = AgentSpec(sp, single(Distortion.identity()), [1.0, 2.0])
     with pytest.raises(ValueError):
         a.endowment[0] = 5.0
+
+
+def test_agent_spec_enforces_its_candidate_set():
+    sp = EmpiricalSpace.uniform(2)
+    with pytest.raises(DomainError, match="at least one candidate"):
+        AgentSpec(sp, (), [1.0, 2.0])
+    with pytest.raises(DomainError, match="Distortion instances"):
+        AgentSpec(sp, ("power", "identity"), [1.0, 2.0])
+    pair = (Distortion.power(0.5), Distortion.identity())
+    a = AgentSpec(sp, pair, [1.0, 2.0])
+    assert a.distortions == DistortionSet(pair)
+    assert solve_robust([a]).allocation.slopes.shape == (1, 2)    # two layers
 
 
 def test_market_checks():
