@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,29 +30,102 @@ log = logging.getLogger(__name__)
 TIE_BAND = 1e-12
 
 
-def load_lp_solver() -> None:
-    """Import scipy's LP solver and sparse matrices now.
+# The HiGHS options of scipy's linprog(method="highs").
+_HIGHS_OPTIONS = (("presolve", "on"), ("simplex_strategy", 1),  # dual simplex
+                  ("output_flag", False), ("log_to_console", False),
+                  ("highs_debug_level", 0))
 
-    The measure LP imports scipy on first use, so commands that solve no LP
-    (``summary``, ``po-decentralized``) never load it.  Start threads that
-    solve LPs after this call: a package's first import should not run in
-    several threads at once.
+
+@dataclass(eq=False)
+class _HighsModel:
+    """A live HiGHS model and the problem data it holds.
+
+    ``problem`` is everything a warm start must leave unchanged: costs,
+    matrix, row bounds and column lower bounds.  ``upper`` tracks the
+    column upper bounds now in the model.
     """
-    import scipy.optimize  # noqa: F401
-    import scipy.sparse  # noqa: F401
+
+    highs: object
+    problem: tuple
+    upper: np.ndarray
 
 
 class _Linprog:
-    """``scipy.optimize.linprog``, imported on its first call.
+    """``scipy.optimize.linprog(method="highs")`` on scipy's own HiGHS binding.
+
+    Same call, result fields, options (presolve on, dual simplex, no
+    output) and post-solve check as scipy's; a solve that is not optimal,
+    or whose solution breaks a bound, slack or equality row by more than
+    10 sqrt(1e-9), raises :class:`SolverError`.  The result's ``model``
+    is the live HiGHS model.  ``warm=model`` re-solves that model after
+    pushing in the changed column upper bounds only: a bound change keeps
+    the last optimal basis dual feasible, so the dual simplex restarts from
+    it in a few pivots.  Any other change raises :class:`DomainError`.
 
     An instance, not a function: a tracer that wraps every public function
     of this module and also ``linprog`` (``perfbench/tracer.py``) would
     otherwise time the HiGHS call twice, one span inside the other.
     """
 
-    def __call__(self, *args, **kwargs):
-        from scipy.optimize import linprog as highs
-        return highs(*args, **kwargs)
+    def __call__(self, c, A_ub, b_ub, A_eq, b_eq, bounds, method="highs",
+                 warm: _HighsModel | None = None):
+        from scipy import sparse
+        from scipy.optimize import OptimizeResult
+        from scipy.optimize._highspy import _core as highspy
+        if method != "highs":
+            raise ValueError(f"unsupported LP method '{method}'")
+        inf = highspy.kHighsInf
+        n_ub = len(b_ub)
+        A = sparse.csc_array(sparse.vstack((A_ub, A_eq)))
+        lhs = np.concatenate([np.full(n_ub, -inf), b_eq])
+        rhs = np.concatenate([b_ub, b_eq])
+        lower, upper = np.clip(np.asarray(bounds, dtype=float).T, -inf, inf)
+        cost = np.asarray(c, dtype=float)
+        problem = (cost, A.indptr, A.indices, A.data, lhs, rhs, lower)
+        if warm is None:
+            model = _HighsModel(highspy._Highs(), problem, upper)
+            for key, value in _HIGHS_OPTIONS:
+                model.highs.setOptionValue(key, value)
+            lp = highspy.HighsLp()
+            lp.num_row_, lp.num_col_ = A.shape
+            lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = A.shape
+            lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
+            lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = \
+                A.indptr, A.indices, A.data
+            lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lower, upper
+            lp.row_lower_, lp.row_upper_ = lhs, rhs
+            if model.highs.passModel(lp) == highspy.HighsStatus.kError:
+                raise SolverError("HiGHS refused the LP")
+        else:
+            model = warm
+            if not all(np.array_equal(a, b) for a, b in zip(problem, model.problem)):
+                raise DomainError("a warm LP solve may change column upper bounds only")
+            changed = np.flatnonzero(upper != model.upper)
+            model.highs.changeColsBounds(changed.size, changed, lower[changed],
+                                         upper[changed])
+            model.upper = upper
+        highs = model.highs
+        run = highs.run()
+        status = highs.getModelStatus()
+        if run == highspy.HighsStatus.kError or status != highspy.HighsModelStatus.kOptimal:
+            raise SolverError(f"HiGHS: {highs.modelStatusToString(status)}")
+        solution, info = highs.getSolution(), highs.getInfo()
+        x = np.array(solution.col_value)
+        fun = info.objective_function_value
+        residual = rhs - np.array(solution.row_value)
+        slack, con = residual[:n_ub], residual[n_ub:]
+        tol = 10.0 * 1e-9 ** 0.5
+        if (np.isnan(x).any() or np.isnan(fun) or np.isnan(residual).any()
+                or np.any(x < lower - tol) or np.any(x > upper + tol)
+                or np.any(slack < -tol) or np.any(np.abs(con) > tol)):
+            raise SolverError(f"HiGHS solution breaks the constraints by more than {tol:.2e}")
+        return OptimizeResult(
+            x=x, fun=fun, success=True, status=0,
+            message=highs.modelStatusToString(status),
+            nit=info.simplex_iteration_count,
+            ineqlin=OptimizeResult(marginals=np.array(solution.row_dual)[:n_ub],
+                                   residual=slack),
+            model=model)
 
 
 linprog = _Linprog()
@@ -86,16 +159,19 @@ class MeasureLPResult:
     cession[i][k] is the multiplier of agent i's layer-k exceedance
     constraint divided by the layer length.  By complementary slackness an
     indemnity with these marginal slopes attains the LP value exactly, so
-    they resolve the tie layers where Q* equals nu.
+    they resolve the tie layers where Q* equals nu.  ``model`` is the live
+    HiGHS model of the solve (None when there was no LP); a warm solve from
+    this result moves it on to the new problem.
     """
 
     q_star: np.ndarray
     value: float
     cession: tuple[np.ndarray, ...]
+    model: _HighsModel | None = field(default=None, repr=False)
 
 
 def solve_measure_lp(space: EmpiricalSpace, endowments, distortions,
-                     alpha: float) -> MeasureLPResult:
+                     alpha: float, warm: MeasureLPResult | None = None) -> MeasureLPResult:
     """Solve the layered measure problem on nested exceedance rows.
 
     Agent i's exceedance sets shrink layer by layer, so R_ik = Q(X_i > b_k)
@@ -103,6 +179,11 @@ def solve_measure_lp(space: EmpiricalSpace, endowments, distortions,
     q, then R, then aux (one R and one aux per agent and layer).  The chains
     and sum q = 1 are equality rows; aux_ik - R_ik <= 0 are inequality rows,
     whose duals are the cession fractions.  O(n m) nonzeros; deterministic.
+
+    The distortions enter only as the aux columns' caps nu.  ``warm``, an
+    earlier result of the same space, endowments and alpha, re-solves its
+    live HiGHS model with the new caps from its optimal basis (that model
+    then holds this solve); any other difference raises DomainError.
     """
     xs, alpha = _check_inputs(space, endowments, distortions, alpha)
     from scipy import sparse
@@ -146,18 +227,22 @@ def solve_measure_lp(space: EmpiricalSpace, endowments, distortions,
     # R is free, not >= 0 (its chain sums q's): it stays basic, for fewer pivots.
     bounds = np.column_stack([np.repeat([0.0, -np.inf, 0.0], [n_states, n_aux, n_aux]),
                               np.concatenate([caps, np.full(n_aux, np.inf), nus])])
-    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(n_aux), A_eq=a_eq,
-                  b_eq=np.append(np.zeros(n_aux), 1.0), bounds=bounds,
-                  method="highs")
-    if not res.success:
-        raise SolverError(f"measure LP failed: {res.message}")
+    args = dict(A_ub=a_ub, b_ub=np.zeros(n_aux), A_eq=a_eq,
+                b_eq=np.append(np.zeros(n_aux), 1.0), bounds=bounds, method="highs")
+    if warm is not None:
+        if warm.model is None or not np.array_equal(warm.model.upper[:n_states], caps):
+            raise DomainError("a warm measure LP needs a solved LP of the same "
+                              "space, endowments and alpha")
+        args["warm"] = warm.model
+    res = linprog(cost, **args)
     log.debug("measure LP solved: %d states, %d layers, %d rows, %d columns, "
-              "%d nonzeros, HiGHS status %d, %d iterations, value %.6g",
+              "%d nonzeros, HiGHS status %d, %s start, %d iterations, value %.6g",
               n_states, n_aux, a_ub.shape[0] + a_eq.shape[0], n_cols,
-              a_ub.nnz + a_eq.nnz, res.status, res.nit, -res.fun)
+              a_ub.nnz + a_eq.nnz, res.status, "cold" if warm is None else "warm",
+              res.nit, -res.fun)
     fractions = np.clip(-res.ineqlin.marginals / lens, 0.0, 1.0)
     return MeasureLPResult(res.x[:n_states].copy(), float(-res.fun),
-                           tuple(np.split(fractions, first[1:])))
+                           tuple(np.split(fractions, first[1:])), res.get("model"))
 
 
 @dataclass(frozen=True, eq=False)

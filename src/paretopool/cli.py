@@ -380,31 +380,43 @@ def sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha):
 
     The swept agent's distortion is replaced by power(gamma) at each grid
     value; every agent must carry a single distortion and the shared
-    reference measure.  Grid points are evaluated in parallel; the rows come
-    back in grid order.
+    reference measure.  The peer-to-peer solves run in grid order on one
+    worker thread while this thread solves the measure LPs, each warm from
+    the one before, and the centralized welfare; the rows come back in grid
+    order.
     """
     for i, ds in enumerate(dist_sets):
         if len(ds) != 1:
             raise UnsupportedOperationError(
                 f"sweep needs a single distortion per agent; agent {i} has {len(ds)} candidates")
     base = [ds[0] for ds in dist_sets]
+    grid = [[Distortion.power(gamma) if i == sweep_index else d for i, d in enumerate(base)]
+            for gamma in gammas]
+    if not grid:
+        return []
 
-    def one(gamma: float):
-        dists = list(base)
-        dists[sweep_index] = Distortion.power(gamma)
-        agents = [AgentSpec(space, single(d), x)
-                  for d, x in zip(dists, endowments)]
-        solution = solve_robust(agents)
-        report = welfare_report(agents, solution.allocation)
-        contract = central.solve_centralized(space, endowments, dists, alpha)
-        welfare = central.centralized_welfare(space, endowments, dists, contract)
-        cen, dec = welfare.average_gain, report.average_gain
-        pct = 100.0 * (cen - dec) / cen if cen != 0.0 else math.nan
-        return (gamma, 1.0 - gamma, cen, dec, pct)
+    def decentralized(dists):
+        agents = [AgentSpec(space, single(d), x) for d, x in zip(dists, endowments)]
+        return welfare_report(agents, solve_robust(agents).allocation).average_gain
 
-    central.load_lp_solver()
-    with ThreadPoolExecutor(max_workers=min(4, max(1, len(gammas)))) as pool:
-        return list(pool.map(one, gammas))
+    # The first LP loads scipy before the worker starts.  One worker: the
+    # peer-to-peer solves hold the GIL, so more threads would only take it
+    # from each other; HiGHS releases it while it solves.
+    rows, lp = [], central.solve_measure_lp(space, endowments, grid[0], alpha)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        decs = [pool.submit(decentralized, dists) for dists in grid]
+        for k, (gamma, dists, dec) in enumerate(zip(gammas, grid, decs)):
+            if k:
+                # The grid's LPs differ only in the swept agent's caps: each
+                # starts from the optimal basis of the one before.
+                lp = central.solve_measure_lp(space, endowments, dists, alpha, warm=lp)
+            contract = central.build_indemnities(space, lp.q_star, endowments, dists, alpha,
+                                                 lp.value, tie_slopes=lp.cession)
+            cen = central.centralized_welfare(space, endowments, dists, contract).average_gain
+            dec = dec.result()
+            pct = 100.0 * (cen - dec) / cen if cen != 0.0 else math.nan
+            rows.append((gamma, 1.0 - gamma, cen, dec, pct))
+    return rows
 
 
 def cmd_sweep(args) -> int:

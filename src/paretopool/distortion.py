@@ -15,6 +15,7 @@ and its relative version rpra(t) = t * pra(t).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -260,6 +261,9 @@ class DistortionSet:
     candidates: tuple[Distortion, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        if isinstance(self.candidates, Distortion) or not isinstance(self.candidates, Iterable):
+            raise DomainError(f"a distortion set takes an iterable of distortions, not "
+                              f"{type(self.candidates).__name__}; wrap one with single()")
         cands = tuple(self.candidates)
         if not cands:
             raise DomainError("a distortion set must hold at least one candidate")

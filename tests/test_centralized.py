@@ -1,22 +1,27 @@
 """Centralized insurance: measure LP, indemnities, Stackelberg premiums."""
 
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
 from paretopool import (Distortion, EmpiricalSpace, build_indemnities,
                         centralized, centralized_welfare, choquet, es,
                         solve_centralized, solve_measure_lp,
-                        stackelberg_premiums)
+                        single, stackelberg_premiums)
 from paretopool.centralized import TIE_BAND
+from paretopool.cli import sweep_rows
 from paretopool.errors import (DomainError, NoCessionWarning,
-                               ProfileMismatchError)
+                               ProfileMismatchError, SolverError)
+from paretopool.ingest import load_panel, to_space
 from paretopool.oracle import brute_force_lp
 from testkit import rand_distortion, rand_losses, rand_space
 
 SQ = 0.5 ** 0.5
+SWEEP_PANEL = Path(__file__).resolve().parent / "data" / "sweep_panel.csv"
 
 
 def one_agent_instance():
@@ -172,6 +177,86 @@ def test_lp_debug_log_reports_size_and_status(caplog):
     assert len(lines) == 1
     assert "3 rows, 4 columns, 6 nonzeros, HiGHS status 0," in lines[0]
     assert " iterations, value " in lines[0]
+
+
+# -- HiGHS binding and warm starts ---------------------------------------------
+
+
+def test_highs_binding_has_every_name_linprog_uses():
+    from scipy.optimize._highspy import _core as highspy
+    for name in ("setOptionValue", "passModel", "changeColsBounds", "run",
+                 "getModelStatus", "modelStatusToString", "getSolution", "getInfo"):
+        assert hasattr(highspy._Highs, name), name
+    for name in ("HighsLp", "MatrixFormat", "HighsStatus", "HighsModelStatus", "kHighsInf"):
+        assert hasattr(highspy, name), name
+    for name in ("num_col_", "num_row_", "a_matrix_", "col_cost_", "col_lower_",
+                 "col_upper_", "row_lower_", "row_upper_"):
+        assert hasattr(highspy.HighsLp, name), name
+
+
+def test_linprog_infeasible_lp_is_solver_error():
+    # x <= -1 with 0 <= x <= 1.
+    with pytest.raises(SolverError):
+        centralized.linprog(np.zeros(1), A_ub=sparse.csr_matrix([[1.0]]), b_ub=np.array([-1.0]),
+                            A_eq=sparse.csr_matrix((0, 1)), b_eq=np.zeros(0),
+                            bounds=np.array([[0.0, 1.0]]), method="highs")
+
+
+def sweep_market():
+    """The criterion-8 market; its third agent is the swept one."""
+    space, losses = to_space(load_panel(SWEEP_PANEL.read_text()))
+    return (space, list(losses),
+            [Distortion.kahneman_tversky(0.4), Distortion.kahneman_tversky(0.5)], 0.15)
+
+
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
+def test_warm_lp_matches_cold_scipy_solve(monkeypatch):
+    rng = np.random.default_rng(50)
+    markets = [sweep_market()]
+    for _ in range(12):
+        n_states, n_agents = int(rng.integers(3, 30)), int(rng.integers(1, 4))
+        sp = rand_space(rng, n_states)
+        markets.append((sp, [rand_losses(rng, n_states, scale=8.0) for _ in range(n_agents + 1)],
+                        [rand_distortion(rng) for _ in range(n_agents)],
+                        float(rng.uniform(0.08, 0.9))))
+    for sp, xs, base, alpha in markets:
+        lp = None
+        for gamma in (0.3, 0.4, 0.5, 0.6, 0.65, 0.7):
+            ds = base + [Distortion.power(gamma)]
+            first, lp = lp is None, solve_measure_lp(sp, xs, ds, alpha, warm=lp)
+            with monkeypatch.context() as m:
+                m.setattr(centralized, "linprog", linprog)
+                cold = solve_measure_lp(sp, xs, ds, alpha)
+            if first:
+                # The cold solve is scipy's linprog, bit for bit.
+                assert lp.value == cold.value
+                assert np.array_equal(lp.q_star, cold.q_star)
+            assert lp.value == pytest.approx(cold.value, rel=1e-9, abs=1e-12)
+            gains = [centralized_welfare(sp, xs, ds, build_indemnities(
+                sp, r.q_star, xs, ds, alpha, r.value, tie_slopes=r.cession)).aggregate_gain
+                for r in (lp, cold)]
+            assert gains[0] == pytest.approx(gains[1], rel=1e-9, abs=1e-9)
+
+
+def test_sweep_repeated_grid_point_gives_identical_rows():
+    sp, xs, base, alpha = sweep_market()
+    dist_sets = [single(d) for d in base + [Distortion.power(0.5)]]
+    rows = sweep_rows(sp, xs, dist_sets, 2, [0.5, 0.5], alpha)
+    assert rows[0] == rows[1]
+
+
+def test_warm_lp_refuses_another_alpha_or_endowments():
+    sp, xs, ds = one_agent_instance()
+    lp = solve_measure_lp(sp, xs, ds, 0.5)
+    with pytest.raises(DomainError, match="same space, endowments and alpha"):
+        solve_measure_lp(sp, xs, ds, 0.4, warm=lp)
+    with pytest.raises(DomainError, match="column upper bounds only"):
+        solve_measure_lp(sp, [np.array([0.0, 7.0])], ds, 0.5, warm=lp)
+    with pytest.raises(DomainError):
+        solve_measure_lp(EmpiricalSpace.uniform(3), [np.array([0.0, 10.0, 4.0])], ds, 0.5, warm=lp)
+    # Another distortion only moves the layer cap nu: 10 * 0.5 ** 0.8.
+    warm = solve_measure_lp(sp, xs, [Distortion.power(0.8)], 0.5, warm=lp)
+    assert warm.value == pytest.approx(10 * 0.5 ** 0.8, abs=1e-9)
 
 
 # -- indemnity case logic -----------------------------------------------------

@@ -551,6 +551,13 @@ def test_agent_spec_enforces_its_candidate_set():
     assert solve_robust([a]).allocation.slopes.shape == (1, 2)    # two layers
 
 
+@pytest.mark.parametrize("bare", [Distortion.power(0.5), None, 3],
+                         ids=["distortion", "none", "int"])
+def test_agent_spec_refuses_a_candidate_that_is_not_a_set(bare):
+    with pytest.raises(DomainError, match=r"wrap one with single\(\)"):
+        AgentSpec(EmpiricalSpace.uniform(2), bare, [1.0, 2.0])
+
+
 def test_market_checks():
     with pytest.raises(DomainError):
         aggregate_loss([])
