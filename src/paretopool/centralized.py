@@ -312,8 +312,9 @@ def build_indemnities(space: EmpiricalSpace, q_star, endowments, distortions,
     """Turn a maximising measure into per-agent indemnity marginals.
 
     Layer slope: 1 if Q*(X_i > t) < nu_i - TIE_BAND, 0 if above the band,
-    0.5 inside it.  ``tie_slopes`` (per-agent arrays in [0, 1]) overrides
-    the 0.5 default on tie layers only; strict layers keep the case rule.
+    0.5 inside it.  ``tie_slopes`` (per-agent finite arrays, clipped into
+    [0, 1]) overrides the 0.5 default on tie layers only; strict layers
+    keep the case rule.
     Warns when the resulting contract cedes nothing.
     """
     xs, alpha = _check_inputs(space, endowments, distortions, alpha)
@@ -327,9 +328,12 @@ def build_indemnities(space: EmpiricalSpace, q_star, endowments, distortions,
         # Q*(X_i > b_k) as raw sums: neither clipped nor pinned.
         qv = _layer_table(X, [q], origin=True, pin=False)[1][0, :-1]
         on_tie = np.full(qv.size, 0.5) if tie_slopes is None else \
-            np.clip(np.asarray(tie_slopes[i], dtype=float), 0.0, 1.0)
+            np.asarray(tie_slopes[i], dtype=float)
         if on_tie.shape != qv.shape:
             raise ProfileMismatchError("tie_slopes do not match the layer grid")
+        if not np.isfinite(on_tie).all():
+            raise DomainError("tie_slopes must be finite")
+        on_tie = np.clip(on_tie, 0.0, 1.0)
         slopes = np.where(qv < nu - TIE_BAND, 1.0,
                           np.where(qv > nu + TIE_BAND, 0.0, on_tie))
         all_bps.append(bps)
@@ -426,6 +430,8 @@ def centralized_welfare(space: EmpiricalSpace, endowments, distortions,
         premiums = np.asarray(premiums, dtype=float)
         if premiums.shape != (len(xs),):
             raise ProfileMismatchError("one premium per agent required")
+        if not np.isfinite(premiums).all():
+            raise DomainError("premiums must be finite")
         policyholder_gains = gross - premiums
         insurer_gain = float(np.sum(premiums) - insurer_risk)
     return CentralizedWelfare(

@@ -219,7 +219,8 @@ def summary_stats(panel: LossPanel) -> dict[str, AgentStats]:
 
     The 5% value at risk uses the same strict-survival convention as
     :func:`paretopool.riskmeasure.var`; the standard deviation is the
-    sample one (m - 1 denominator), so a single-month panel is rejected.
+    sample one (m - 1 denominator), so a single-month panel is rejected; a
+    constant series has exactly 0, not the rounding of its mean.
     """
     if panel.month_count < 2:
         raise DomainError("standard deviation needs at least two months")
@@ -232,7 +233,7 @@ def summary_stats(panel: LossPanel) -> dict[str, AgentStats]:
             median=float(np.median(x)),
             var_5pct=riskmeasure.var(space, x, 0.05),
             maximum=float(np.max(x)),
-            std_dev=float(np.std(x, ddof=1)),
+            std_dev=float(np.std(x, ddof=1)) if np.ptp(x) > 0.0 else 0.0,
         )
     return out
 
@@ -240,7 +241,8 @@ def summary_stats(panel: LossPanel) -> dict[str, AgentStats]:
 @dataclass(frozen=True, eq=False)
 class CorrelationResult:
     """Pairwise Pearson correlations; entries touching a zero-variance
-    agent are NaN and the agent is listed in ``degenerate``."""
+    agent (all months equal, or a spread whose variance underflows to 0)
+    are NaN and the agent is listed in ``degenerate``."""
 
     matrix: np.ndarray
     degenerate: tuple[str, ...]
@@ -249,13 +251,12 @@ class CorrelationResult:
 def correlation(panel: LossPanel) -> CorrelationResult:
     _, profiles = to_space(panel)
     n = len(panel.agents)
-    stds = profiles.std(axis=1)
+    flat = (np.ptp(profiles, axis=1) == 0.0) | (profiles.std(axis=1) == 0.0)
     matrix = np.eye(n)
-    degenerate = tuple(label for j, label in enumerate(panel.agents)
-                       if stds[j] == 0.0)
+    degenerate = tuple(label for j, label in enumerate(panel.agents) if flat[j])
     for a in range(n):
         for b in range(a + 1, n):
-            if stds[a] == 0.0 or stds[b] == 0.0:
+            if flat[a] or flat[b]:
                 matrix[a, b] = matrix[b, a] = float("nan")
             else:
                 matrix[a, b] = matrix[b, a] = float(

@@ -189,57 +189,48 @@ class LayerAllocation:
         return cls(b, h, c, chosen)
 
 
-def solve_fixed(agents, *, chosen: tuple[int, ...] | None = None
-                ) -> tuple[LayerAllocation, float]:
+def solve_fixed(agents) -> tuple[LayerAllocation, float]:
     """Optimal layer allocation when each agent prices with one distortion.
 
-    Each layer goes entirely to the agent with the smallest distorted
-    survival there; ties within relative ``TIE_TOL`` keep the lowest agent
-    index.  Returns the allocation (side payments zeroed) and the optimum
-    value  sum_k length_k * min_i T_i(Q_i(S > b_k)).
+    The singleton case of :func:`solve_robust`, the one layer solve: each
+    layer goes entirely to the agent with the smallest distorted survival
+    there; ties within relative ``TIE_TOL`` keep the lowest agent index.
+    Returns the allocation (side payments zeroed) and the optimum value
+    sum_k length_k * min_i T_i(Q_i(S > b_k)).  A set of several candidates
+    raises :class:`UnsupportedOperationError`; to price with candidate c of
+    such a set, pass ``AgentSpec(a.belief, single(a.distortions[c]),
+    a.endowment)``.
     """
-    S = _check_market(agents)
-    n = len(agents)
-    if chosen is None:
-        if any(len(a.distortions) != 1 for a in agents):
-            raise UnsupportedOperationError(
-                "solve_fixed needs singleton candidate sets; use solve_robust")
-        chosen = (0,) * n
-    grid = layer_decomposition(S, [a.belief for a in agents])
-    return _solve_on_grid(agents, grid, chosen)
-
-
-def _solve_on_grid(agents, grid: LayerGrid, chosen) -> tuple[LayerAllocation, float]:
-    n, m = len(agents), grid.layer_count
-    slopes = np.zeros((n, m))
-    distorted = np.array([a.distortions[c](s)
-                          for a, c, s in zip(agents, chosen, grid.survivals)])
-    mins = distorted.min(axis=0)
-    winners = (distorted <= mins[None, :] * (1.0 + TIE_TOL)).argmax(axis=0)
-    slopes[winners, np.arange(m)] = 1.0
-    value = float(np.dot(grid.lengths, mins))
-    alloc = LayerAllocation(grid.breakpoints, slopes, np.zeros(n), tuple(chosen))
-    return alloc, value
+    if any(len(a.distortions) != 1 for a in agents):
+        raise UnsupportedOperationError(
+            "solve_fixed needs singleton candidate sets; use solve_robust")
+    solution = solve_robust(agents)
+    return solution.allocation, solution.value
 
 
 @dataclass(frozen=True, eq=False)
 class RobustSolution:
-    chosen: tuple[int, ...]
     allocation: LayerAllocation
     value: float
+
+    @property
+    def chosen(self) -> tuple[int, ...]:
+        return self.allocation.chosen_distortions
 
 
 def solve_robust(agents) -> RobustSolution:
     """Worst-case-optimal allocation over finite candidate distortion sets.
 
-    The layer value is maximised by exhaustive search over the product of
+    Every candidate is evaluated once on the market's layer grid.  The
+    layer value is maximised by exhaustive search over the product of
     candidate sets; ties keep the lexicographically first maximiser.  A
     product above ``PRODUCT_CAP`` raises :class:`ResourceLimitError` before
-    any layer work.  The chosen candidates are then solved on the same layer
-    grid; singleton sets reproduce :func:`solve_fixed` exactly.  The
-    returned max-min value is a lower bound on the least worst-case total;
-    when the allocation's worst-case total exceeds it beyond the tie band
-    ``TIE_TOL``, a warning says the allocation is not certified optimal.
+    any layer work.  Each layer then goes to the agent whose chosen
+    candidate prices it lowest, the first such agent within ``TIE_TOL``;
+    with singleton sets this is :func:`solve_fixed`.  The returned max-min
+    value is a lower bound on the least worst-case total; when the
+    allocation's worst-case total exceeds it beyond the tie band, a warning
+    says the allocation is not certified optimal.
     """
     S = _check_market(agents)
     sizes = [len(a.distortions) for a in agents]
@@ -251,21 +242,25 @@ def solve_robust(agents) -> RobustSolution:
     tables = [[d(grid.survivals[i]) for d in a.distortions]
               for i, a in enumerate(agents)]
     lengths = grid.lengths
-    best_combo, best = None, -math.inf
+    best = -math.inf
     for combo in itertools.product(*(range(s) for s in sizes)):
         stacked = np.array([tables[i][c] for i, c in enumerate(combo)])
         v = float(np.dot(lengths, stacked.min(axis=0)))
         if v > best:
-            best_combo, best = combo, v
+            best_combo, best, distorted = combo, v, stacked
     log.debug("robust solve: exhaustive over %d combos", product)
-    alloc, value = _solve_on_grid(agents, grid, best_combo)
+    n, m = distorted.shape
+    winners = (distorted <= distorted.min(axis=0) * (1.0 + TIE_TOL)).argmax(axis=0)
+    slopes = np.zeros((n, m))
+    slopes[winners, np.arange(m)] = 1.0
+    alloc = LayerAllocation(grid.breakpoints, slopes, np.zeros(n), best_combo)
     # Worst-case total of the allocation: an upper bound on the optimum.
     upper = sum(max(float(np.dot(lengths * h, t)) for t in ts)
-                for h, ts in zip(alloc.slopes, tables))
-    if upper > value * (1.0 + TIE_TOL + 1e-9):
+                for h, ts in zip(slopes, tables))
+    if upper > best * (1.0 + TIE_TOL + 1e-9):
         log.warning("robust allocation not certified optimal: its worst-case "
-                    "total %.9g exceeds the max-min value %.9g", upper, value)
-    return RobustSolution(tuple(best_combo), alloc, value)
+                    "total %.9g exceeds the max-min value %.9g", upper, best)
+    return RobustSolution(alloc, best)
 
 
 def _robust_values(agents, profiles) -> np.ndarray:

@@ -296,6 +296,15 @@ def test_tie_slopes_override_applies_only_to_ties():
                           tie_slopes=[np.array([0.25, 0.5])])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tie_slopes_must_be_finite(bad):
+    # np.clip passes NaN through to the contract's slopes.
+    sp, xs, ds = one_agent_instance()
+    with pytest.raises(DomainError, match="tie_slopes must be finite"):
+        build_indemnities(sp, [1.0 - SQ, SQ], xs, ds, 0.5,
+                          tie_slopes=[np.array([bad])])
+
+
 @pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
 def test_case_logic_every_layer_random():
     rng = np.random.default_rng(42)
@@ -403,6 +412,15 @@ def test_welfare_is_premium_independent():
     assert priced.policyholder_gains[0] == pytest.approx(
         base.gross_gains[0] - 3.0, abs=1e-12)
     assert priced.insurer_gain == pytest.approx(3.0 - base.insurer_risk, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_welfare_rejects_non_finite_premiums(bad):
+    # A NaN gain would reach the JSON output as NaN, which is not JSON.
+    sp, xs, ds = one_agent_instance()
+    contract = build_indemnities(sp, [0.7, 0.3], xs, ds, 0.5)
+    with pytest.raises(DomainError, match="premiums must be finite"):
+        centralized_welfare(sp, xs, ds, contract, premiums=[bad])
 
 
 def test_no_insurance_contract_zero_gain():

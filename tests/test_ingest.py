@@ -378,6 +378,21 @@ def test_correlation_zero_variance_flagged():
     assert result.matrix[1, 1] == 1.0
 
 
+def test_constant_column_is_degenerate_despite_rounding():
+    # np.std of seven 0.1s reads 1.5e-17, not 0: the mean rounds.
+    months = tuple((2020, m) for m in range(1, 8))
+    b = [0.0, 1.0, 3.0, 0.5, 2.0, 0.0, 4.0]
+    panel = LossPanel(months, ("A", "B", "C"),
+                      np.column_stack([np.full(7, 0.1), b, [0.0, 1e-300] + [0.0] * 5]))
+    stats = summary_stats(panel)
+    assert stats["A"].std_dev == 0.0
+    assert stats["B"].std_dev == float(np.std(b, ddof=1))
+    result = correlation(panel)
+    assert result.degenerate == ("A", "C")
+    assert np.isnan(result.matrix[0, 1:]).all() and np.isnan(result.matrix[1:, 0]).all()
+    assert np.isnan(result.matrix[1, 2]) and np.diag(result.matrix).tolist() == [1.0] * 3
+
+
 # -- canonical serialization --------------------------------------------------
 
 

@@ -113,10 +113,10 @@ def test_solve_fixed_requires_singletons():
     a = AgentSpec(sp, pair, [0.0, 1.0])
     with pytest.raises(UnsupportedOperationError):
         solve_fixed([a])
-    # Explicit candidate choice lifts the restriction.
-    alloc, value = solve_fixed([a], chosen=(1,))
+    # A fixed candidate is the singleton market of that candidate.
+    alloc, value = solve_fixed([AgentSpec(a.belief, single(a.distortions[1]), a.endowment)])
     assert value == pytest.approx(10 ** 0.0 * 0.5 ** 0.8, abs=1e-12)
-    assert alloc.chosen_distortions == (1,)
+    assert alloc.chosen_distortions == (0,)
 
 
 def test_solve_fixed_degenerate_zero_aggregate():
@@ -472,7 +472,9 @@ def test_solve_robust_value_maximises_over_combos():
         values = []
         for c0 in range(2):
             for c1 in range(2):
-                _, v = solve_fixed(agents, chosen=(c0, c1))
+                fixed = [AgentSpec(a.belief, single(a.distortions[c]), a.endowment)
+                         for a, c in zip(agents, (c0, c1))]
+                _, v = solve_fixed(fixed)
                 values.append(v)
         assert sol.value == pytest.approx(max(values), abs=1e-12)
 
@@ -525,6 +527,60 @@ def test_degenerate_zero_aggregate_robust():
     sol = solve_robust(agents)
     assert sol.value == 0.0
     assert sol.allocation.slopes.shape == (2, 0)
+
+
+def test_solve_robust_evaluates_each_candidate_once(monkeypatch):
+    # The max-min search and the layer assignment read one table of
+    # distorted survivals, so a solve makes sum_i K_i evaluations.
+    calls = []
+    evaluate = Distortion.__call__
+
+    def spy(self, t):
+        calls.append(self)
+        return evaluate(self, t)
+
+    monkeypatch.setattr(Distortion, "__call__", spy)
+    rng = np.random.default_rng(40)
+    for candidates in (1, 2, 3):
+        agents = rand_agents(rng, 6, 3, candidates=candidates)
+        calls.clear()
+        solve_robust(agents)
+        assert len(calls) == 3 * candidates
+
+
+def _metamorphic_markets(seed, count=40):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_states = int(rng.integers(2, 7))
+        yield rng, rand_agents(rng, n_states, int(rng.integers(1, 4)),
+                               candidates=int(rng.integers(1, 3)))
+
+
+def test_solve_robust_invariant_under_state_permutation():
+    for rng, agents in _metamorphic_markets(41):
+        perm = rng.permutation(agents[0].belief.state_count)
+        permuted = [AgentSpec(EmpiricalSpace(a.belief.weights[perm]), a.distortions,
+                              a.endowment[perm]) for a in agents]
+        sol, moved = solve_robust(agents), solve_robust(permuted)
+        assert moved.chosen == sol.chosen
+        assert np.array_equal(moved.allocation.breakpoints, sol.allocation.breakpoints)
+        assert np.array_equal(moved.allocation.slopes, sol.allocation.slopes)
+        assert moved.value == sol.value
+
+
+def test_solve_robust_scales_exactly_with_endowments():
+    # Scaling by 2^k is exact in floating point, so layers, survivals and
+    # the choice of candidates cannot move.
+    for rng, agents in _metamorphic_markets(42):
+        k = int(rng.integers(-8, 9))
+        scaled = [AgentSpec(a.belief, a.distortions, np.ldexp(a.endowment, k))
+                  for a in agents]
+        sol, big = solve_robust(agents), solve_robust(scaled)
+        assert big.chosen == sol.chosen
+        assert np.array_equal(big.allocation.slopes, sol.allocation.slopes)
+        assert np.array_equal(big.allocation.breakpoints,
+                              np.ldexp(sol.allocation.breakpoints, k))
+        assert big.value == math.ldexp(sol.value, k)
 
 
 # -- market construction errors ----------------------------------------------
