@@ -14,8 +14,7 @@ probabilities well above the insurer's 1/alpha price cap.
 import numpy as np
 
 from paretopool import (Distortion, EmpiricalSpace, centralized_welfare,
-                        choquet, es, solve_centralized, solve_measure_lp,
-                        stackelberg_premiums)
+                        choquet, es, solve_centralized, stackelberg_premiums)
 
 
 def main() -> None:
@@ -29,11 +28,10 @@ def main() -> None:
              Distortion.power(0.55)]
     alpha = 0.15
 
-    lp = solve_measure_lp(space, xs, dists, alpha)
-    print(f"maximising measure Q*: {np.round(lp.q_star, 6).tolist()}")
-    print(f"LP welfare frontier value: {lp.value:.6f}\n")
-
     contract = solve_centralized(space, xs, dists, alpha)
+    print(f"maximising measure Q*: {np.round(contract.q_star, 6).tolist()}")
+    print(f"LP welfare frontier value: {contract.value:.6f}\n")
+
     for i, d in enumerate(dists):
         ded = contract.deductible(i)
         shape = f"deductible at {ded}" if ded is not None else "layered"

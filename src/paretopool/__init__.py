@@ -9,9 +9,8 @@ worked narratives and the cli module for the command line surface.
 
 from . import oracle
 from .centralized import (CentralizedContract, CentralizedWelfare,
-                          build_indemnities, centralized_welfare,
-                          solve_centralized, solve_measure_lp,
-                          stackelberg_premiums)
+                          centralized_welfare, solve_centralized,
+                          solve_measure_lp, stackelberg_premiums)
 from .distortion import Distortion, DistortionSet, single
 from .errors import ParetopoolError
 from .ingest import (LossPanel, correlation, parse_losses, summary_stats,
@@ -37,7 +36,6 @@ __all__ = [
     "MarketReport",
     "ParetopoolError",
     "aggregate_loss",
-    "build_indemnities",
     "centralized_welfare",
     "choquet",
     "correlation",

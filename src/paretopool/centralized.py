@@ -67,13 +67,11 @@ class _Linprog:
     otherwise time the HiGHS call twice, one span inside the other.
     """
 
-    def __call__(self, c, A_ub, b_ub, A_eq, b_eq, bounds, method="highs",
+    def __call__(self, c, A_ub, b_ub, A_eq, b_eq, bounds,
                  warm: _HighsModel | None = None):
         from scipy import sparse
         from scipy.optimize import OptimizeResult
         from scipy.optimize._highspy import _core as highspy
-        if method != "highs":
-            raise ValueError(f"unsupported LP method '{method}'")
         inf = highspy.kHighsInf
         n_ub = len(b_ub)
         A = sparse.csc_array(sparse.vstack((A_ub, A_eq)))
@@ -146,122 +144,24 @@ def _check_inputs(space, endowments, distortions, alpha):
     return xs, alpha
 
 
-def _layer_survivals(space: EmpiricalSpace, X: np.ndarray):
-    """Layer breakpoints of X and the pinned reference survival above each."""
-    bps, tails = _layer_table(X, [space.weights], origin=True)
-    return bps, tails[0, :-1]
-
-
-@dataclass(frozen=True, eq=False)
-class MeasureLPResult:
-    """Maximising measure, optimal value and dual cession fractions.
-
-    cession[i][k] is the multiplier of agent i's layer-k exceedance
-    constraint divided by the layer length.  By complementary slackness an
-    indemnity with these marginal slopes attains the LP value exactly, so
-    they resolve the tie layers where Q* equals nu.  ``model`` is the live
-    HiGHS model of the solve (None when there was no LP); a warm solve from
-    this result moves it on to the new problem.
-    """
-
-    q_star: np.ndarray
-    value: float
-    cession: tuple[np.ndarray, ...]
-    model: _HighsModel | None = field(default=None, repr=False)
-
-
-def solve_measure_lp(space: EmpiricalSpace, endowments, distortions,
-                     alpha: float, warm: MeasureLPResult | None = None) -> MeasureLPResult:
-    """Solve the layered measure problem on nested exceedance rows.
-
-    Agent i's exceedance sets shrink layer by layer, so R_ik = Q(X_i > b_k)
-    obeys the chain R_ik = R_i,k+1 + Q(X_i = b_k+1) with R_iL = 0.  Columns:
-    q, then R, then aux (one R and one aux per agent and layer).  The chains
-    and sum q = 1 are equality rows; aux_ik - R_ik <= 0 are inequality rows,
-    whose duals are the cession fractions.  O(n m) nonzeros; deterministic.
-
-    The distortions enter only as the aux columns' caps nu.  ``warm``, an
-    earlier result of the same space, endowments and alpha, re-solves its
-    live HiGHS model with the new caps from its optimal basis (that model
-    then holds this solve); any other difference raises DomainError.
-    """
-    xs, alpha = _check_inputs(space, endowments, distortions, alpha)
-    from scipy import sparse
-    n_states = space.state_count
-    lens_all, nus_all, levels = [], [], []
-    for X, d in zip(xs, distortions):
-        bps, surv = _layer_survivals(space, X)
-        lens_all.append(np.diff(bps))
-        nus_all.append(d(surv))
-        # State s sits on breakpoint level[s]: it lies in {X > b_k} iff k < level.
-        levels.append(np.searchsorted(bps, X))
-    lens, nus = np.concatenate(lens_all), np.concatenate(nus_all)
-    n_aux = lens.size
-    caps = space.weights / alpha
-
-    if n_aux == 0:
-        # Everything is a constant zero loss; any feasible q is optimal.
-        q = np.minimum(caps, 1.0)
-        q *= 1.0 / q.sum()
-        return MeasureLPResult(q, 0.0, tuple(np.zeros(0) for _ in xs))
-
-    # Equality row first_i + k: R_ik - R_i,k+1 - q(X_i = b_k+1) = 0, without
-    # R_i,k+1 on agent i's top layer; row n_aux: sum q = 1.
-    layer = np.arange(n_aux)
-    first = np.cumsum([0] + [v.size for v in lens_all])[:-1]
-    inner = np.setdiff1d(layer[:-1], first - 1)
-    r_col = n_states + layer
-    q_rows = np.concatenate([start + lv[lv > 0] - 1 for start, lv in zip(first, levels)])
-    q_cols = np.concatenate([np.flatnonzero(lv) for lv in levels])
-    n_cols = n_states + 2 * n_aux
-    a_eq = sparse.csr_matrix(
-        (np.repeat([1.0, -1.0, 1.0], [n_aux, inner.size + q_rows.size, n_states]),
-         (np.concatenate([layer, inner, q_rows, np.full(n_states, n_aux)]),
-          np.concatenate([r_col, r_col[inner] + 1, q_cols, np.arange(n_states)]))),
-        shape=(n_aux + 1, n_cols))
-    a_ub = sparse.csr_matrix(
-        (np.repeat([1.0, -1.0], n_aux),
-         (np.tile(layer, 2), np.concatenate([r_col + n_aux, r_col]))),
-        shape=(n_aux, n_cols))
-    cost = np.concatenate([np.zeros(n_states + n_aux), -lens])
-    # R is free, not >= 0 (its chain sums q's): it stays basic, for fewer pivots.
-    bounds = np.column_stack([np.repeat([0.0, -np.inf, 0.0], [n_states, n_aux, n_aux]),
-                              np.concatenate([caps, np.full(n_aux, np.inf), nus])])
-    args = dict(A_ub=a_ub, b_ub=np.zeros(n_aux), A_eq=a_eq,
-                b_eq=np.append(np.zeros(n_aux), 1.0), bounds=bounds, method="highs")
-    if warm is not None:
-        if warm.model is None or not np.array_equal(warm.model.upper[:n_states], caps):
-            raise DomainError("a warm measure LP needs a solved LP of the same "
-                              "space, endowments and alpha")
-        args["warm"] = warm.model
-    res = linprog(cost, **args)
-    log.debug("measure LP solved: %d states, %d layers, %d rows, %d columns, "
-              "%d nonzeros, HiGHS status %d, %s start, %d iterations, value %.6g",
-              n_states, n_aux, a_ub.shape[0] + a_eq.shape[0], n_cols,
-              a_ub.nnz + a_eq.nnz, res.status, "cold" if warm is None else "warm",
-              res.nit, -res.fun)
-    fractions = np.clip(-res.ineqlin.marginals / lens, 0.0, 1.0)
-    return MeasureLPResult(res.x[:n_states].copy(), float(-res.fun),
-                           tuple(np.split(fractions, first[1:])), res.get("model"))
-
-
 @dataclass(frozen=True, eq=False)
 class CentralizedContract:
     """Per-agent indemnity marginals plus the supporting measure Q*.
 
     slopes[i][k] is the indemnity slope of agent i on its own layer k:
-    1 where Q* undercuts nu_i, 0 where it exceeds it, 0.5 on the tie band.
+    1 where Q* undercuts nu_i, 0 where it exceeds it, and on the tie band
+    the cession fraction the measure LP's dual gives that layer.  ``value``
+    is the LP optimum.  ``model`` is the live HiGHS model of the solve
+    (None when there was no LP); a warm solve from this contract moves it
+    on to the new problem.
     """
 
     alpha: float
     q_star: np.ndarray
-    lp_value: float
+    value: float
     breakpoints: tuple[np.ndarray, ...]
     slopes: tuple[np.ndarray, ...]
-
-    @property
-    def agent_count(self) -> int:
-        return len(self.slopes)
+    model: _HighsModel | None = field(default=None, repr=False)
 
     def indemnity(self, i: int, x) -> np.ndarray:
         return _layer_function(self.breakpoints[i], self.slopes[i], x)
@@ -274,7 +174,7 @@ class CentralizedContract:
         """Deductible level when agent i's contract is 0..0 then 1..1.
 
         Returns None for any other slope pattern, including no cession at
-        all and any 0.5 tie layer.
+        all and any fractional tie layer.
         """
         s = self.slopes[i]
         ones = np.flatnonzero(s == 1.0)
@@ -289,9 +189,7 @@ class CentralizedContract:
         return all(float(np.dot(s, np.diff(b))) == 0.0
                    for s, b in zip(self.slopes, self.breakpoints))
 
-    def to_dict(self, labels=None) -> dict:
-        labels = list(labels) if labels is not None else [
-            f"agent_{i}" for i in range(self.agent_count)]
+    def to_dict(self, labels) -> dict:
         agents = [{"label": label,
                    "breakpoints": self.breakpoints[i].tolist(),
                    "slopes": self.slopes[i].tolist(),
@@ -300,46 +198,100 @@ class CentralizedContract:
         return {
             "schema_version": 1,
             "alpha": self.alpha,
-            "lp_value": self.lp_value,
+            "lp_value": self.value,
             "q_star": self.q_star.tolist(),
             "agents": agents,
         }
 
 
-def build_indemnities(space: EmpiricalSpace, q_star, endowments, distortions,
-                      alpha: float, lp_value: float = float("nan"),
-                      tie_slopes=None) -> CentralizedContract:
-    """Turn a maximising measure into per-agent indemnity marginals.
+def solve_measure_lp(space: EmpiricalSpace, endowments, distortions, alpha: float,
+                     warm: CentralizedContract | None = None) -> CentralizedContract:
+    """Solve the layered measure problem on nested exceedance rows and
+    return the contract it supports.
 
-    Layer slope: 1 if Q*(X_i > t) < nu_i - TIE_BAND, 0 if above the band,
-    0.5 inside it.  ``tie_slopes`` (per-agent finite arrays, clipped into
-    [0, 1]) overrides the 0.5 default on tie layers only; strict layers
-    keep the case rule.
-    Warns when the resulting contract cedes nothing.
+    Agent i's exceedance sets shrink layer by layer, so R_ik = Q(X_i > b_k)
+    obeys the chain R_ik = R_i,k+1 + Q(X_i = b_k+1) with R_iL = 0.  Columns:
+    q, then R, then aux (one R and one aux per agent and layer).  The chains
+    and sum q = 1 are equality rows; aux_ik - R_ik <= 0 are inequality rows,
+    whose duals over the layer length are the cession fractions.  O(n m)
+    nonzeros; deterministic.
+
+    Layer slope: 1 if Q*(X_i > b_k) < nu_ik - TIE_BAND, 0 if above the band,
+    and inside it the clipped cession fraction.  By complementary slackness
+    the contract then attains the LP value exactly, even where the saddle
+    point is degenerate.  Warns when the contract cedes nothing.
+
+    The distortions enter only as the aux columns' caps nu.  ``warm``, an
+    earlier contract of the same space, endowments and alpha, re-solves its
+    live HiGHS model with the new caps from its optimal basis (that model
+    then holds this solve); any other difference raises DomainError.
     """
     xs, alpha = _check_inputs(space, endowments, distortions, alpha)
-    q = np.asarray(q_star, dtype=float)
-    if q.shape != (space.state_count,):
-        raise ProfileMismatchError("q_star length does not match the space")
-    all_bps, all_slopes = [], []
-    for i, (X, d) in enumerate(zip(xs, distortions)):
-        bps, surv = _layer_survivals(space, X)
-        nu = d(surv)
+    from scipy import sparse
+    n_states = space.state_count
+    bps_all, lens_all, nus_all, levels = [], [], [], []
+    for X, d in zip(xs, distortions):
+        bps, tails = _layer_table(X, [space.weights], origin=True)
+        bps_all.append(bps)
+        lens_all.append(np.diff(bps))
+        nus_all.append(d(tails[0, :-1]))
+        # State s sits on breakpoint level[s]: it lies in {X > b_k} iff k < level.
+        levels.append(np.searchsorted(bps, X))
+    lens, nus = np.concatenate(lens_all), np.concatenate(nus_all)
+    n_aux = lens.size
+    first = np.cumsum([0] + [v.size for v in lens_all])[:-1]
+    caps = space.weights / alpha
+
+    if n_aux == 0:
+        # Everything is a constant zero loss; any feasible q is optimal.
+        q = np.minimum(caps, 1.0)
+        q *= 1.0 / q.sum()
+        value, fractions, model = 0.0, np.zeros(0), None
+    else:
+        # Equality row first_i + k: R_ik - R_i,k+1 - q(X_i = b_k+1) = 0, without
+        # R_i,k+1 on agent i's top layer; row n_aux: sum q = 1.
+        layer = np.arange(n_aux)
+        inner = np.setdiff1d(layer[:-1], first - 1)
+        r_col = n_states + layer
+        q_rows = np.concatenate([start + lv[lv > 0] - 1 for start, lv in zip(first, levels)])
+        q_cols = np.concatenate([np.flatnonzero(lv) for lv in levels])
+        n_cols = n_states + 2 * n_aux
+        a_eq = sparse.csr_matrix(
+            (np.repeat([1.0, -1.0, 1.0], [n_aux, inner.size + q_rows.size, n_states]),
+             (np.concatenate([layer, inner, q_rows, np.full(n_states, n_aux)]),
+              np.concatenate([r_col, r_col[inner] + 1, q_cols, np.arange(n_states)]))),
+            shape=(n_aux + 1, n_cols))
+        a_ub = sparse.csr_matrix(
+            (np.repeat([1.0, -1.0], n_aux),
+             (np.tile(layer, 2), np.concatenate([r_col + n_aux, r_col]))),
+            shape=(n_aux, n_cols))
+        cost = np.concatenate([np.zeros(n_states + n_aux), -lens])
+        # R is free, not >= 0 (its chain sums q's): it stays basic, for fewer pivots.
+        bounds = np.column_stack([np.repeat([0.0, -np.inf, 0.0], [n_states, n_aux, n_aux]),
+                                  np.concatenate([caps, np.full(n_aux, np.inf), nus])])
+        args = dict(A_ub=a_ub, b_ub=np.zeros(n_aux), A_eq=a_eq,
+                    b_eq=np.append(np.zeros(n_aux), 1.0), bounds=bounds)
+        if warm is not None:
+            if warm.model is None or not np.array_equal(warm.model.upper[:n_states], caps):
+                raise DomainError("a warm measure LP needs a solved LP of the same "
+                                  "space, endowments and alpha")
+            args["warm"] = warm.model
+        res = linprog(cost, **args)
+        log.debug("measure LP solved: %d states, %d layers, %d rows, %d columns, "
+                  "%d nonzeros, HiGHS status %d, %s start, %d iterations, value %.6g",
+                  n_states, n_aux, a_ub.shape[0] + a_eq.shape[0], n_cols,
+                  a_ub.nnz + a_eq.nnz, res.status, "cold" if warm is None else "warm",
+                  res.nit, -res.fun)
+        q, value, model = res.x[:n_states].copy(), float(-res.fun), res.get("model")
+        fractions = np.clip(-res.ineqlin.marginals / lens, 0.0, 1.0)
+
+    slopes = []
+    for X, bps, nu, on_tie in zip(xs, bps_all, nus_all, np.split(fractions, first[1:])):
         # Q*(X_i > b_k) as raw sums: neither clipped nor pinned.
         qv = _layer_table(X, [q], origin=True, pin=False)[1][0, :-1]
-        on_tie = np.full(qv.size, 0.5) if tie_slopes is None else \
-            np.asarray(tie_slopes[i], dtype=float)
-        if on_tie.shape != qv.shape:
-            raise ProfileMismatchError("tie_slopes do not match the layer grid")
-        if not np.isfinite(on_tie).all():
-            raise DomainError("tie_slopes must be finite")
-        on_tie = np.clip(on_tie, 0.0, 1.0)
-        slopes = np.where(qv < nu - TIE_BAND, 1.0,
-                          np.where(qv > nu + TIE_BAND, 0.0, on_tie))
-        all_bps.append(bps)
-        all_slopes.append(slopes)
-    contract = CentralizedContract(alpha, q, float(lp_value),
-                                   tuple(all_bps), tuple(all_slopes))
+        slopes.append(np.where(qv < nu - TIE_BAND, 1.0,
+                               np.where(qv > nu + TIE_BAND, 0.0, on_tie)))
+    contract = CentralizedContract(alpha, q, value, tuple(bps_all), tuple(slopes), model)
     if contract.cedes_nothing():
         warnings.warn("centralized contract cedes nothing to the insurer",
                       NoCessionWarning, stacklevel=2)
@@ -348,16 +300,8 @@ def build_indemnities(space: EmpiricalSpace, q_star, endowments, distortions,
 
 def solve_centralized(space: EmpiricalSpace, endowments, distortions,
                       alpha: float) -> CentralizedContract:
-    """Measure LP followed by indemnity construction.
-
-    Tie layers (Q* equal to nu within the band) take their slope from the
-    LP duals, which keeps the realized contract on the Pareto frontier even
-    when the saddle point is degenerate; a blanket 0.5 there can lose a
-    finite amount of welfare.
-    """
-    lp = solve_measure_lp(space, endowments, distortions, alpha)
-    return build_indemnities(space, lp.q_star, endowments, distortions,
-                             alpha, lp.value, tie_slopes=lp.cession)
+    """The Pareto-optimal centralized contract, from a cold :func:`solve_measure_lp`."""
+    return solve_measure_lp(space, endowments, distortions, alpha)
 
 
 def stackelberg_premiums(space: EmpiricalSpace, endowments, distortions,
@@ -395,12 +339,10 @@ class CentralizedWelfare:
     policyholder_gains: np.ndarray | None = None
     insurer_gain: float | None = None
 
-    def to_dict(self, labels=None) -> dict:
-        labels = list(labels) if labels is not None else [
-            f"agent_{i}" for i in range(self.gross_gains.size)]
+    def to_dict(self, labels) -> dict:
         out = {
             "schema_version": 1,
-            "labels": labels,
+            "labels": list(labels),
             "gross_gains": self.gross_gains.tolist(),
             "insurer_risk": self.insurer_risk,
             "aggregate_gain": self.aggregate_gain,

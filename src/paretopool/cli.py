@@ -402,16 +402,15 @@ def sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha):
     # The first LP loads scipy before the worker starts.  One worker: the
     # peer-to-peer solves hold the GIL, so more threads would only take it
     # from each other; HiGHS releases it while it solves.
-    rows, lp = [], central.solve_measure_lp(space, endowments, grid[0], alpha)
+    rows, contract = [], central.solve_measure_lp(space, endowments, grid[0], alpha)
     with ThreadPoolExecutor(max_workers=1) as pool:
         decs = [pool.submit(decentralized, dists) for dists in grid]
         for k, (gamma, dists, dec) in enumerate(zip(gammas, grid, decs)):
             if k:
                 # The grid's LPs differ only in the swept agent's caps: each
                 # starts from the optimal basis of the one before.
-                lp = central.solve_measure_lp(space, endowments, dists, alpha, warm=lp)
-            contract = central.build_indemnities(space, lp.q_star, endowments, dists, alpha,
-                                                 lp.value, tie_slopes=lp.cession)
+                contract = central.solve_measure_lp(space, endowments, dists, alpha,
+                                                    warm=contract)
             cen = central.centralized_welfare(space, endowments, dists, contract).average_gain
             dec = dec.result()
             pct = 100.0 * (cen - dec) / cen if cen != 0.0 else math.nan

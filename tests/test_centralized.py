@@ -8,7 +8,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
-from paretopool import (Distortion, EmpiricalSpace, build_indemnities,
+from paretopool import (CentralizedContract, Distortion, EmpiricalSpace,
                         centralized, centralized_welfare, choquet, es,
                         solve_centralized, solve_measure_lp,
                         single, stackelberg_premiums)
@@ -28,9 +28,17 @@ def one_agent_instance():
     return EmpiricalSpace.uniform(2), [np.array([0.0, 10.0])], [Distortion.power(0.5)]
 
 
+def hand_contract(q, breakpoints, slopes, value=0.0):
+    """One agent's contract at a hand-picked measure q (alpha 0.5), with the
+    slopes the case rule gives there; ``value`` is only carried along."""
+    return CentralizedContract(0.5, np.array(q), value, (np.array(breakpoints),),
+                               (np.array(slopes),))
+
+
 # -- measure LP ---------------------------------------------------------------
 
 
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
 def test_lp_hand_value():
     sp, xs, ds = one_agent_instance()
     lp = solve_measure_lp(sp, xs, ds, 0.5)
@@ -50,12 +58,14 @@ def test_lp_alpha_one_keeps_reference_measure_value():
 
 def test_lp_degenerate_all_zero_losses():
     sp = EmpiricalSpace.uniform(3)
-    lp = solve_measure_lp(sp, [np.zeros(3)], [Distortion.power(0.5)], 0.3)
+    with pytest.warns(NoCessionWarning):
+        lp = solve_measure_lp(sp, [np.zeros(3)], [Distortion.power(0.5)], 0.3)
     assert lp.value == 0.0
     assert float(np.sum(lp.q_star)) == pytest.approx(1.0, abs=1e-12)
-    assert lp.cession[0].size == 0
+    assert lp.slopes[0].size == 0
 
 
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
 def test_lp_matches_oracle_on_random_instances():
     rng = np.random.default_rng(41)
     for _ in range(25):
@@ -107,7 +117,7 @@ def test_lp_nonzeros_linear_in_states_and_agents(monkeypatch):
     assert layers == n * m
     assert len(seen) == 1
     assert seen[0] <= 4 * layers + (n + 1) * m
-    assert [c.size for c in lp.cession] == [m] * n
+    assert [s.size for s in lp.slopes] == [m] * n
 
 
 def dense_measure_lp(sp, xs, ds, alpha):
@@ -145,7 +155,7 @@ def test_lp_matches_dense_reference_formulation():
         xs = [rand_losses(rng, n_states) for _ in range(n_agents)]
         ds = [rand_distortion(rng) for _ in range(n_agents)]
         markets.append((sp, xs, ds, float(rng.uniform(0.08, 0.9))))
-    # An all-zero agent has no layers, no rows and an empty cession array.
+    # An all-zero agent has no layers, no rows and an empty slope array.
     sp = rand_space(rng, 5)
     markets.append((sp, [np.zeros(5), np.array([0.0, 3.0, 1.0, 3.0, 7.0]),
                          np.array([2.0, 0.0, 0.0, 5.0, 4.0])],
@@ -155,17 +165,16 @@ def test_lp_matches_dense_reference_formulation():
         lp = solve_measure_lp(sp, xs, ds, alpha)
         assert lp.value == pytest.approx(dense_measure_lp(sp, xs, ds, alpha),
                                          rel=1e-9, abs=1e-12)
-        assert [c.size for c in lp.cession] == [
+        assert [s.size for s in lp.slopes] == [
             np.unique(np.append(X, 0.0)).size - 1 for X in xs]
-        contract = solve_centralized(sp, xs, ds, alpha)
-        welfare = centralized_welfare(sp, xs, ds, contract)
+        welfare = centralized_welfare(sp, xs, ds, lp)
         rho_sum = sum(choquet(sp, X, d) for X, d in zip(xs, ds))
-        assert welfare.aggregate_gain == pytest.approx(
-            rho_sum - contract.lp_value, abs=1e-9)
-    assert lp.cession[0].size == 0
+        assert welfare.aggregate_gain == pytest.approx(rho_sum - lp.value, abs=1e-9)
+    assert lp.slopes[0].size == 0
     assert lp.value > 0.0
 
 
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
 def test_lp_debug_log_reports_size_and_status(caplog):
     sp, xs, ds = one_agent_instance()
     with caplog.at_level(logging.DEBUG, logger="paretopool.centralized"):
@@ -199,7 +208,7 @@ def test_linprog_infeasible_lp_is_solver_error():
     with pytest.raises(SolverError):
         centralized.linprog(np.zeros(1), A_ub=sparse.csr_matrix([[1.0]]), b_ub=np.array([-1.0]),
                             A_eq=sparse.csr_matrix((0, 1)), b_eq=np.zeros(0),
-                            bounds=np.array([[0.0, 1.0]]), method="highs")
+                            bounds=np.array([[0.0, 1.0]]))
 
 
 def sweep_market():
@@ -232,9 +241,7 @@ def test_warm_lp_matches_cold_scipy_solve(monkeypatch):
                 assert lp.value == cold.value
                 assert np.array_equal(lp.q_star, cold.q_star)
             assert lp.value == pytest.approx(cold.value, rel=1e-9, abs=1e-12)
-            gains = [centralized_welfare(sp, xs, ds, build_indemnities(
-                sp, r.q_star, xs, ds, alpha, r.value, tie_slopes=r.cession)).aggregate_gain
-                for r in (lp, cold)]
+            gains = [centralized_welfare(sp, xs, ds, r).aggregate_gain for r in (lp, cold)]
             assert gains[0] == pytest.approx(gains[1], rel=1e-9, abs=1e-9)
 
 
@@ -245,6 +252,7 @@ def test_sweep_repeated_grid_point_gives_identical_rows():
     assert rows[0] == rows[1]
 
 
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
 def test_warm_lp_refuses_another_alpha_or_endowments():
     sp, xs, ds = one_agent_instance()
     lp = solve_measure_lp(sp, xs, ds, 0.5)
@@ -260,49 +268,6 @@ def test_warm_lp_refuses_another_alpha_or_endowments():
 
 
 # -- indemnity case logic -----------------------------------------------------
-
-
-def test_case_logic_full_cession():
-    sp, xs, ds = one_agent_instance()
-    contract = build_indemnities(sp, [0.7, 0.3], xs, ds, 0.5)
-    assert np.array_equal(contract.slopes[0], [1.0])   # 0.3 < 0.7071
-
-
-def test_case_logic_full_retention():
-    sp, xs, ds = one_agent_instance()
-    with pytest.warns(NoCessionWarning):
-        contract = build_indemnities(sp, [0.1, 0.9], xs, ds, 0.5)
-    assert np.array_equal(contract.slopes[0], [0.0])   # 0.9 > 0.7071
-    assert contract.cedes_nothing()
-
-
-def test_case_logic_tie_takes_half():
-    sp, xs, ds = one_agent_instance()
-    contract = build_indemnities(sp, [1.0 - SQ, SQ], xs, ds, 0.5)
-    assert np.array_equal(contract.slopes[0], [0.5])
-
-
-def test_tie_slopes_override_applies_only_to_ties():
-    sp, xs, ds = one_agent_instance()
-    contract = build_indemnities(sp, [1.0 - SQ, SQ], xs, ds, 0.5,
-                                 tie_slopes=[np.array([0.25])])
-    assert np.array_equal(contract.slopes[0], [0.25])
-    # A strict layer ignores the override.
-    contract = build_indemnities(sp, [0.7, 0.3], xs, ds, 0.5,
-                                 tie_slopes=[np.array([0.25])])
-    assert np.array_equal(contract.slopes[0], [1.0])
-    with pytest.raises(ProfileMismatchError):
-        build_indemnities(sp, [0.7, 0.3], xs, ds, 0.5,
-                          tie_slopes=[np.array([0.25, 0.5])])
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_tie_slopes_must_be_finite(bad):
-    # np.clip passes NaN through to the contract's slopes.
-    sp, xs, ds = one_agent_instance()
-    with pytest.raises(DomainError, match="tie_slopes must be finite"):
-        build_indemnities(sp, [1.0 - SQ, SQ], xs, ds, 0.5,
-                          tie_slopes=[np.array([bad])])
 
 
 @pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
@@ -334,6 +299,25 @@ def test_case_logic_every_layer_random():
 
 
 @pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
+def test_one_distortion_pass_per_contract(monkeypatch):
+    # The LP's caps nu are the tables the case rule reads: each agent's
+    # distortion is evaluated once, on its whole layer grid.
+    rng = np.random.default_rng(51)
+    sp = rand_space(rng, 6)
+    xs = [rand_losses(rng, 6) for _ in range(3)]
+    ds = [rand_distortion(rng) for _ in range(3)]
+    calls, evaluate = [], Distortion.__call__
+
+    def spy(self, t):
+        calls.append(self)
+        return evaluate(self, t)
+
+    monkeypatch.setattr(Distortion, "__call__", spy)
+    solve_centralized(sp, xs, ds, 0.3)
+    assert calls == ds
+
+
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
 def test_indemnity_is_lipschitz_and_bounded():
     rng = np.random.default_rng(43)
     for _ in range(10):
@@ -354,25 +338,21 @@ def test_indemnity_is_lipschitz_and_bounded():
 
 
 def test_deductible_detection():
-    sp = EmpiricalSpace.uniform(3)
-    xs = [np.array([0.0, 5.0, 10.0])]
-    ds = [Distortion.power(0.5)]
+    # X = (0, 5, 10) on three equal states under power(0.5).
+    bps = [0.0, 5.0, 10.0]
     # Retain the first layer, cede the tail: deductible at 5.
-    contract = build_indemnities(sp, [0.1, 0.5, 0.4], xs, ds, 0.5)
-    assert np.array_equal(contract.slopes[0], [0.0, 1.0])
+    contract = hand_contract([0.1, 0.5, 0.4], bps, [0.0, 1.0])
     assert contract.deductible(0) == 5.0
     # Full cession is a deductible at 0.
-    contract = build_indemnities(sp, [0.98, 0.01, 0.01], xs, ds, 0.5)
+    contract = hand_contract([0.98, 0.01, 0.01], bps, [1.0, 1.0])
     assert contract.deductible(0) == 0.0
     # No cession has no deductible.
-    with pytest.warns(NoCessionWarning):
-        contract = build_indemnities(sp, [0.0, 0.25, 0.75], xs, ds, 0.5)
+    contract = hand_contract([0.0, 0.25, 0.75], bps, [0.0, 0.0])
     assert contract.deductible(0) is None
 
 
 def test_contract_to_dict():
-    sp, xs, ds = one_agent_instance()
-    contract = build_indemnities(sp, [0.7, 0.3], xs, ds, 0.5, lp_value=10 * SQ)
+    contract = hand_contract([0.7, 0.3], [0.0, 10.0], [1.0], value=10 * SQ)
     payload = contract.to_dict(labels=["CA"])
     assert payload["schema_version"] == 1
     assert payload["agents"][0]["label"] == "CA"
@@ -397,7 +377,7 @@ def test_realized_welfare_matches_lp_frontier():
         welfare = centralized_welfare(sp, xs, ds, contract)
         rho_sum = sum(choquet(sp, X, d) for X, d in zip(xs, ds))
         assert welfare.aggregate_gain == pytest.approx(
-            rho_sum - contract.lp_value, abs=1e-9)
+            rho_sum - contract.value, abs=1e-9)
         assert welfare.aggregate_gain >= -1e-9
         assert welfare.average_gain == pytest.approx(
             welfare.aggregate_gain / (n_agents + 1), abs=1e-12)
@@ -405,7 +385,7 @@ def test_realized_welfare_matches_lp_frontier():
 
 def test_welfare_is_premium_independent():
     sp, xs, ds = one_agent_instance()
-    contract = build_indemnities(sp, [0.7, 0.3], xs, ds, 0.5)
+    contract = hand_contract([0.7, 0.3], [0.0, 10.0], [1.0])
     base = centralized_welfare(sp, xs, ds, contract)
     priced = centralized_welfare(sp, xs, ds, contract, premiums=[3.0])
     assert priced.aggregate_gain == base.aggregate_gain
@@ -418,15 +398,14 @@ def test_welfare_is_premium_independent():
 def test_welfare_rejects_non_finite_premiums(bad):
     # A NaN gain would reach the JSON output as NaN, which is not JSON.
     sp, xs, ds = one_agent_instance()
-    contract = build_indemnities(sp, [0.7, 0.3], xs, ds, 0.5)
+    contract = hand_contract([0.7, 0.3], [0.0, 10.0], [1.0])
     with pytest.raises(DomainError, match="premiums must be finite"):
         centralized_welfare(sp, xs, ds, contract, premiums=[bad])
 
 
 def test_no_insurance_contract_zero_gain():
     sp, xs, ds = one_agent_instance()
-    with pytest.warns(NoCessionWarning):
-        contract = build_indemnities(sp, [0.1, 0.9], xs, ds, 0.5)
+    contract = hand_contract([0.1, 0.9], [0.0, 10.0], [0.0])
     welfare = centralized_welfare(sp, xs, ds, contract)
     assert welfare.aggregate_gain == pytest.approx(0.0, abs=1e-12)
     assert welfare.insurer_risk == 0.0
@@ -437,15 +416,14 @@ def test_no_insurance_contract_zero_gain():
 
 def test_stackelberg_zero_indemnity_zero_premium():
     sp, xs, ds = one_agent_instance()
-    with pytest.warns(NoCessionWarning):
-        contract = build_indemnities(sp, [0.1, 0.9], xs, ds, 0.5)
+    contract = hand_contract([0.1, 0.9], [0.0, 10.0], [0.0])
     premiums = stackelberg_premiums(sp, xs, ds, contract)
     assert premiums[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_stackelberg_full_cession_hand_choquet():
     sp, xs, ds = one_agent_instance()
-    contract = build_indemnities(sp, [0.7, 0.3], xs, ds, 0.5)
+    contract = hand_contract([0.7, 0.3], [0.0, 10.0], [1.0])
     premiums = stackelberg_premiums(sp, xs, ds, contract)
     assert premiums[0] == pytest.approx(10 * SQ, abs=1e-12)
 
@@ -454,8 +432,7 @@ def test_stackelberg_identity_full_cession_is_expectation():
     sp = EmpiricalSpace.uniform(2)
     xs = [np.array([0.0, 10.0])]
     ds = [Distortion.identity()]
-    contract = build_indemnities(sp, [0.9, 0.1], xs, ds, 0.5)
-    assert np.array_equal(contract.slopes[0], [1.0])
+    contract = hand_contract([0.9, 0.1], [0.0, 10.0], [1.0])
     premiums = stackelberg_premiums(sp, xs, ds, contract)
     assert premiums[0] == pytest.approx(5.0, abs=1e-12)
 

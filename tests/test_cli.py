@@ -495,7 +495,7 @@ def test_po_centralized_outputs(workdir):
     saved = json.loads((out / "contract.json").read_text())
     assert [a["label"] for a in saved["agents"]] == ["CA", "FL", "TX"]
     assert saved["alpha"] == 0.25
-    assert saved["lp_value"] == pytest.approx(contract.lp_value, abs=1e-9)
+    assert saved["lp_value"] == pytest.approx(contract.value, abs=1e-9)
 
     wjson = json.loads((out / "welfare_centralized.json").read_text())
     assert wjson["aggregate_gain"] == pytest.approx(welfare.aggregate_gain, abs=1e-9)
@@ -714,6 +714,36 @@ def test_belief_file_with_a_byte_order_mark(workdir):
     (workdir / "config.json").write_text(json.dumps(cfg))
     assert run(workdir, "po-decentralized", "--config", workdir / "config.json",
                "--data", workdir / "data.csv", "--out", workdir / "dec") == 0
+
+
+# Each belief file for a three-month panel (None: no file at all) and a part
+# of the config error that po-decentralized reports for it.
+BELIEF_FILE_ERRORS = {
+    "not a number": ("abc", "w.txt: could not convert string to float: 'abc'"),
+    "too few weights": ("0.5 0.5", "has 2 weights for 3 months"),
+    "negative": ("0.5 0.6 -0.1", "weights must be finite and non-negative"),
+    "nan": ("nan 0.5 0.5", "weights must be finite and non-negative"),
+    "overflow": ("1e400 0 0", "weights must be finite and non-negative"),
+    "missing": (None, "No such file or directory"),
+}
+
+
+@pytest.mark.parametrize("case", list(BELIEF_FILE_ERRORS))
+def test_belief_file_errors_are_config_errors(tmp_path, capsys, case):
+    text, message = BELIEF_FILE_ERRORS[case]
+    # The first three months of DATA_CSV.
+    (tmp_path / "data.csv").write_text("\n".join(DATA_CSV.splitlines()[:7]) + "\n")
+    if text is not None:
+        (tmp_path / "w.txt").write_text(text)
+    cfg = base_config()
+    cfg["agents"][0]["belief"] = {"weights_file": "w.txt"}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert run(tmp_path, "po-decentralized", "--config", tmp_path / "config.json",
+               "--data", tmp_path / "data.csv", "--out", tmp_path / "x") == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: belief file {tmp_path / 'w.txt'}")
+    assert message in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_wrong_length_weights_are_config_errors_from_one_validator(workdir, capsys):

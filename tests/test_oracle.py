@@ -216,6 +216,7 @@ def test_bf_lp_needs_kink_hyperplanes():
     assert lp.value == pytest.approx(full, abs=1e-6)
 
 
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
 def test_bf_lp_random_matches_solver():
     rng = np.random.default_rng(59)
     for _ in range(10):

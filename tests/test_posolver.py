@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from paretopool import (AgentSpec, Distortion, DistortionSet, EmpiricalSpace,
                         side_payments, single, solve_fixed, solve_robust, var,
                         welfare_report, with_side_payments)
 from paretopool import posolver
-from paretopool.centralized import CentralizedContract, build_indemnities
+from paretopool.centralized import CentralizedContract, solve_centralized
 from paretopool.errors import (DomainError, InvalidWeightsError,
                                ProfileMismatchError, ResourceLimitError,
                                UnsupportedOperationError)
@@ -668,7 +667,8 @@ def _kernel_market(rng, m, n, *, shared, zero_state, all_zero):
             x[0] = 0.0
     else:
         xs[0] = xs[0] + 0.5
-    low = np.argsort(np.sum(xs, axis=0), kind="stable")[:int(rng.integers(0, 3))]
+    # At least one state keeps its weight.
+    low = np.argsort(np.sum(xs, axis=0), kind="stable")[:min(int(rng.integers(0, 3)), m - 1)]
     common = _sparse_belief(rng, m, low)
     beliefs = [common if shared or i % 2 else _sparse_belief(rng, m, low)
                for i in range(n)]
@@ -712,6 +712,7 @@ def test_layer_kernel_matches_dense_reference(shared, zero_state, all_zero):
                 assert np.all(np.abs(got - want) <= 1e-12 * top)
 
 
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
 @pytest.mark.parametrize("zero_state", [True, False])
 def test_centralized_layers_match_dense_reference(zero_state):
     rng = np.random.default_rng(7100 + zero_state)
@@ -722,11 +723,8 @@ def test_centralized_layers_match_dense_reference(zero_state):
         space = agents[0].belief
         xs = [a.endowment for a in agents]
         dists = [a.distortions[0] for a in agents]
-        q = rng.uniform(0.0, 1.0, m)
-        q /= q.sum()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            contract = build_indemnities(space, q, xs, dists, 0.2)
+        contract = solve_centralized(space, xs, dists, 0.2)
+        q = contract.q_star
         slopes = []
         for i, (x, d) in enumerate(zip(xs, dists)):
             bps, survs, _ = _dense_layers(x, [space.weights])
@@ -737,7 +735,7 @@ def test_centralized_layers_match_dense_reference(zero_state):
             want = np.where(qv < nu, 1.0, 0.0)
             assert np.array_equal(contract.slopes[i][decided], want[decided])
             slopes.append(rng.uniform(0.0, 1.0, bps.size - 1))
-        mixed = CentralizedContract(0.2, q, float("nan"), contract.breakpoints,
+        mixed = CentralizedContract(0.2, q, contract.value, contract.breakpoints,
                                     tuple(slopes))
         for i, x in enumerate(xs):
             top = float(x.max())
