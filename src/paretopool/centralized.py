@@ -14,9 +14,16 @@ between policyholders and insurer without changing the aggregate gain.
 
 from __future__ import annotations
 
+import importlib
+import importlib.machinery
+import importlib.util
 import logging
+import os
+import sys
+import threading
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -36,6 +43,43 @@ _HIGHS_OPTIONS = (("presolve", "on"), ("simplex_strategy", 1),  # dual simplex
                   ("highs_debug_level", 0))
 
 
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+_HIGHS_LOCK = threading.Lock()
+
+
+def _highs_binding():
+    """scipy's bundled HiGHS binding, ``scipy.optimize._highspy._core``,
+    without importing the ``scipy.optimize`` package.
+
+    An already loaded binding is returned as is.  Otherwise the extension
+    is found in its folder inside the installed scipy and executed under its
+    real name, then registered in ``sys.modules``, so a later
+    ``import scipy.optimize`` reuses this very module (under another name,
+    pybind11 would register its types a second time).  Where scipy's layout
+    hides the file, the plain import runs instead: slower, same binding.
+    A lock makes concurrent first calls load it once.
+
+    Known gap: after a load from the file, the attribute access
+    ``scipy.optimize._highspy._core`` raises ``AttributeError``, because
+    the import system binds a submodule to its parent only when it loads
+    it.  ``from scipy.optimize._highspy import _core``, and scipy's own
+    ``linprog`` and ``milp``, get this module.
+    """
+    with _HIGHS_LOCK:
+        module = sys.modules.get(_HIGHS_MODULE)
+        if module is not None:
+            return module
+        import scipy
+        folder = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+        spec = importlib.machinery.PathFinder.find_spec(_HIGHS_MODULE, [folder])
+        if spec is None:
+            return importlib.import_module(_HIGHS_MODULE)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_HIGHS_MODULE] = module
+        return module
+
+
 @dataclass(eq=False)
 class _HighsModel:
     """A live HiGHS model and the problem data it holds.
@@ -53,12 +97,15 @@ class _HighsModel:
 class _Linprog:
     """``scipy.optimize.linprog(method="highs")`` on scipy's own HiGHS binding.
 
-    Same call, result fields, options (presolve on, dual simplex, no
-    output) and post-solve check as scipy's; a solve that is not optimal,
-    or whose solution breaks a bound, slack or equality row by more than
-    10 sqrt(1e-9), raises :class:`SolverError`.  The result's ``model``
-    is the live HiGHS model.  ``warm=model`` re-solves that model after
-    pushing in the changed column upper bounds only: a bound change keeps
+    Same call, options (presolve on, dual simplex, no output) and
+    post-solve check as scipy's; a solve that is not optimal, or whose
+    solution breaks a bound, slack or equality row by more than
+    10 sqrt(1e-9), raises :class:`SolverError`.  The result is a
+    ``SimpleNamespace`` with the fields of scipy's (``x``, ``fun``,
+    ``status``, ``nit``, ``ineqlin.marginals``, ...) plus ``model``, the
+    live HiGHS model.  The binding comes from :func:`_highs_binding`, so
+    no call imports ``scipy.optimize``.  ``warm=model`` re-solves that model
+    after pushing in the changed column upper bounds only: a bound change keeps
     the last optimal basis dual feasible, so the dual simplex restarts from
     it in a few pivots.  Any other change raises :class:`DomainError`.
 
@@ -70,8 +117,7 @@ class _Linprog:
     def __call__(self, c, A_ub, b_ub, A_eq, b_eq, bounds,
                  warm: _HighsModel | None = None):
         from scipy import sparse
-        from scipy.optimize import OptimizeResult
-        from scipy.optimize._highspy import _core as highspy
+        highspy = _highs_binding()
         inf = highspy.kHighsInf
         n_ub = len(b_ub)
         A = sparse.csc_array(sparse.vstack((A_ub, A_eq)))
@@ -117,12 +163,12 @@ class _Linprog:
                 or np.any(x < lower - tol) or np.any(x > upper + tol)
                 or np.any(slack < -tol) or np.any(np.abs(con) > tol)):
             raise SolverError(f"HiGHS solution breaks the constraints by more than {tol:.2e}")
-        return OptimizeResult(
+        return SimpleNamespace(
             x=x, fun=fun, success=True, status=0,
             message=highs.modelStatusToString(status),
             nit=info.simplex_iteration_count,
-            ineqlin=OptimizeResult(marginals=np.array(solution.row_dual)[:n_ub],
-                                   residual=slack),
+            ineqlin=SimpleNamespace(marginals=np.array(solution.row_dual)[:n_ub],
+                                    residual=slack),
             model=model)
 
 
@@ -282,7 +328,7 @@ def solve_measure_lp(space: EmpiricalSpace, endowments, distortions, alpha: floa
                   n_states, n_aux, a_ub.shape[0] + a_eq.shape[0], n_cols,
                   a_ub.nnz + a_eq.nnz, res.status, "cold" if warm is None else "warm",
                   res.nit, -res.fun)
-        q, value, model = res.x[:n_states].copy(), float(-res.fun), res.get("model")
+        q, value, model = res.x[:n_states].copy(), float(-res.fun), getattr(res, "model", None)
         fractions = np.clip(-res.ineqlin.marginals / lens, 0.0, 1.0)
 
     slopes = []

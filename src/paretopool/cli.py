@@ -251,16 +251,20 @@ _fmt = "{:.9g}".format
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """``rows`` is a list of cell lists, or the body as formatted text."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        if isinstance(rows, str):
+            fh.write(rows)
+        else:
+            writer.writerows(rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    # One write: json.dump with an indent writes each token on its own.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -269,12 +273,14 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _ranked_rows(S: np.ndarray, columns: np.ndarray) -> list:
-    """Rows rank, state, S, columns[:, state] with states in stable S order."""
+def _ranked_rows(S: np.ndarray, columns: np.ndarray) -> str:
+    """CSV body of rows rank, state, S, columns[:, state] with states in
+    stable S order; one %-format per row writes each float as ``_fmt``."""
     order = np.argsort(S, kind="stable")
     table = np.vstack([S, columns]).T[order].tolist()
-    return [[rank, state, *map(_fmt, values)]
-            for rank, (state, values) in enumerate(zip(order.tolist(), table))]
+    line = "%d,%d," + ",".join(["%.9g"] * (len(columns) + 1)) + "\n"
+    return "".join([line % (rank, state, *values)
+                    for rank, (state, values) in enumerate(zip(order.tolist(), table))])
 
 
 # -- subcommands -------------------------------------------------------------

@@ -22,6 +22,7 @@ import csv
 import datetime as _dt
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +110,16 @@ def _open_text(source):
     return source
 
 
+@contextmanager
+def _csv_errors(reader):
+    """Report the csv module's own errors, such as a cell over its field
+    size limit, as FormatError naming the line."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise FormatError(f"line {reader.line_num}: {exc}") from exc
+
+
 def _month_key(raw_date: str) -> int:
     """12 * year + month - 1 of a leading ISO date, or -1 if it is invalid."""
     try:
@@ -125,7 +136,8 @@ def parse_losses(source, loss_column: str = DEFAULT_LOSS_COLUMN
     ``source`` is an open text stream or a CSV string.  Rows with an
     unparseable date, an empty agent label, or a negative or non-numeric
     loss are skipped and reported; an empty loss cell counts as zero.
-    Missing required columns abort with FormatError.
+    Missing required columns, and text the csv module cannot read, abort
+    with FormatError.
 
     Rows are read as ``csv.DictReader`` reads them: blank lines are
     skipped, a duplicated header name refers to its last column and cells
@@ -133,60 +145,61 @@ def parse_losses(source, loss_column: str = DEFAULT_LOSS_COLUMN
     number of its last physical line.
     """
     reader = csv.reader(_open_text(source))
-    header = next(reader, None)
-    if header is None:
-        raise FormatError("empty input: no header row")
-    for needed in (DATE_COLUMN, AGENT_COLUMN, loss_column):
-        if needed not in header:
-            raise FormatError(f"missing required column '{needed}'")
-    index = {name: j for j, name in enumerate(header)}
-    di, ai, li = index[DATE_COLUMN], index[AGENT_COLUMN], index[loss_column]
-    width = max(di, ai, li) + 1
-    # One pass, no row kept: month keys and agent ids are cached per raw
-    # cell text, and the used rows go to three flat lists.
-    month_of: dict[str, int] = {}
-    agent_of: dict[str, int] = {}
-    labels: dict[str, int] = {}
-    keys: list[int] = []
-    ids: list[int] = []
-    losses: list[float] = []
-    rejected: list[tuple[int, str]] = []
-    for row in reader:
-        if len(row) < width:
-            if not row:
+    with _csv_errors(reader):
+        header = next(reader, None)
+        if header is None:
+            raise FormatError("empty input: no header row")
+        for needed in (DATE_COLUMN, AGENT_COLUMN, loss_column):
+            if needed not in header:
+                raise FormatError(f"missing required column '{needed}'")
+        index = {name: j for j, name in enumerate(header)}
+        di, ai, li = index[DATE_COLUMN], index[AGENT_COLUMN], index[loss_column]
+        width = max(di, ai, li) + 1
+        # One pass, no row kept: month keys and agent ids are cached per raw
+        # cell text, and the used rows go to three flat lists.
+        month_of: dict[str, int] = {}
+        agent_of: dict[str, int] = {}
+        labels: dict[str, int] = {}
+        keys: list[int] = []
+        ids: list[int] = []
+        losses: list[float] = []
+        rejected: list[tuple[int, str]] = []
+        for row in reader:
+            if len(row) < width:
+                if not row:
+                    continue
+                row = row + [""] * (width - len(row))
+            raw = row[di]
+            key = month_of.get(raw)
+            if key is None:
+                key = month_of[raw] = _month_key(raw)
+            if key < 0:
+                rejected.append((reader.line_num, f"bad date {raw.strip()!r}"))
                 continue
-            row = row + [""] * (width - len(row))
-        raw = row[di]
-        key = month_of.get(raw)
-        if key is None:
-            key = month_of[raw] = _month_key(raw)
-        if key < 0:
-            rejected.append((reader.line_num, f"bad date {raw.strip()!r}"))
-            continue
-        raw = row[ai]
-        agent = agent_of.get(raw)
-        if agent is None:
-            label = raw.strip()
-            agent = agent_of[raw] = labels.setdefault(label, len(labels)) if label else -1
-        if agent < 0:
-            rejected.append((reader.line_num, "empty agent label"))
-            continue
-        raw = row[li]
-        try:
-            loss = float(raw)
-        except ValueError:
-            # float() ignores the same surrounding whitespace as str.strip().
-            raw = raw.strip()
-            if raw:
-                rejected.append((reader.line_num, f"non-numeric loss {raw!r}"))
+            raw = row[ai]
+            agent = agent_of.get(raw)
+            if agent is None:
+                label = raw.strip()
+                agent = agent_of[raw] = labels.setdefault(label, len(labels)) if label else -1
+            if agent < 0:
+                rejected.append((reader.line_num, "empty agent label"))
                 continue
-            loss = 0.0
-        if not 0.0 <= loss < math.inf:
-            rejected.append((reader.line_num, f"invalid loss {loss!r}"))
-            continue
-        keys.append(key)
-        ids.append(agent)
-        losses.append(loss)
+            raw = row[li]
+            try:
+                loss = float(raw)
+            except ValueError:
+                # float() ignores the same surrounding whitespace as str.strip().
+                raw = raw.strip()
+                if raw:
+                    rejected.append((reader.line_num, f"non-numeric loss {raw!r}"))
+                    continue
+                loss = 0.0
+            if not 0.0 <= loss < math.inf:
+                rejected.append((reader.line_num, f"invalid loss {loss!r}"))
+                continue
+            keys.append(key)
+            ids.append(agent)
+            losses.append(loss)
     # No usable rows is not a format error: rejections are reported, and an
     # empty body legitimately yields an empty panel.
     return (_assemble(keys, ids, losses, list(labels)),
@@ -277,24 +290,27 @@ def load_panel(source) -> LossPanel:
     """Read a canonical (month, agent, loss) CSV back into a panel; any bad
     row, cell or overflowing cell sum raises FormatError."""
     reader = csv.DictReader(_open_text(source))
-    if reader.fieldnames is None or set(reader.fieldnames) != {"month", "agent", "loss"}:
-        raise FormatError("canonical panel CSV needs columns month, agent, loss")
-    keys, ids, losses, labels = [], [], [], {}
-    for row in reader:
-        try:
-            y, m = row["month"].split("-")
-            year, month, loss = int(y), int(m), float(row["loss"])
-            agent = row["agent"].strip()
-        except (ValueError, AttributeError, TypeError) as exc:
-            reason = "missing cells" if None in row.values() else exc
-            raise FormatError(f"bad canonical row near line {reader.line_num}: {reason}")
-        if not 1 <= month <= 12 or not 0.0 <= loss < math.inf:
-            raise FormatError(f"bad canonical row near line {reader.line_num}: out of range")
-        if not agent:
-            raise FormatError(f"bad canonical row near line {reader.line_num}: empty agent label")
-        keys.append(12 * year + month - 1)
-        ids.append(labels.setdefault(agent, len(labels)))
-        losses.append(loss)
+    # A DictReader's own line_num lags on a row that fails to read.
+    with _csv_errors(reader.reader):
+        if reader.fieldnames is None or set(reader.fieldnames) != {"month", "agent", "loss"}:
+            raise FormatError("canonical panel CSV needs columns month, agent, loss")
+        keys, ids, losses, labels = [], [], [], {}
+        for row in reader:
+            try:
+                y, m = row["month"].split("-")
+                year, month, loss = int(y), int(m), float(row["loss"])
+                agent = row["agent"].strip()
+            except (ValueError, AttributeError, TypeError) as exc:
+                reason = "missing cells" if None in row.values() else exc
+                raise FormatError(f"bad canonical row near line {reader.line_num}: {reason}")
+            if not 1 <= month <= 12 or not 0.0 <= loss < math.inf:
+                raise FormatError(f"bad canonical row near line {reader.line_num}: out of range")
+            if not agent:
+                raise FormatError(f"bad canonical row near line {reader.line_num}: "
+                                  "empty agent label")
+            keys.append(12 * year + month - 1)
+            ids.append(labels.setdefault(agent, len(labels)))
+            losses.append(loss)
     if not keys:
         raise FormatError("no panel rows")
     try:

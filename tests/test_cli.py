@@ -19,6 +19,7 @@ from paretopool import (AgentSpec, Distortion, DistortionSet, EmpiricalSpace,
                         summary_stats, to_space, welfare_report,
                         with_side_payments)
 import paretopool
+from paretopool import cli
 from paretopool.cli import load_config, main, sweep_rows
 from paretopool.errors import ConfigError, UnsupportedOperationError
 from paretopool.ingest import load_panel
@@ -361,6 +362,20 @@ def test_retention_csvs_match_per_cell_formatting(workdir):
     assert body.split("\n", 1)[1] == _per_cell_retention(S, columns)
 
 
+def test_ranked_rows_format_each_float_as_fmt():
+    specials = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                1e16, 123456789.5, -123456789.5, 0.1, 1 / 3, 2.5e-7, 1.7976931348623157e308]
+    S = np.array([3.0, 1.0, 2.0, 1.0] + [7.0] * (len(specials) - 4))
+    columns = np.array([specials, specials[::-1]])
+    lines = cli._ranked_rows(S, columns).splitlines()
+    order = np.argsort(S, kind="stable")
+    assert len(lines) == len(S)
+    for rank, (line, state) in enumerate(zip(lines, order)):
+        cells = [str(rank), str(state), cli._fmt(S[state])]
+        cells += [cli._fmt(col[state]) for col in columns]
+        assert line.split(",") == cells
+
+
 def test_po_decentralized_weights_last(workdir):
     (workdir / "config.json").write_text(json.dumps(base_config(weights="last")))
     out = workdir / "dec_last"
@@ -678,6 +693,18 @@ def test_bad_claim_input_is_input_error(workdir, capsys, command, case):
     assert not (workdir / "x").exists()
 
 
+@pytest.mark.parametrize("command", MARKET_COMMANDS, ids=lambda c: c[0])
+def test_oversized_claim_cell_is_input_error(workdir, capsys, command):
+    limit = csv.field_size_limit()
+    data = workdir / "big.csv"
+    data.write_text(DATA_CSV.replace("TX,30", '"' + "T" * (limit + 1) + '",30'))
+    assert run(workdir, *command, "--config", workdir / "config.json",
+               "--data", data, "--out", workdir / "x") == 2
+    assert capsys.readouterr().err == (
+        f"input error: line 3: field larger than field limit ({limit})\n")
+    assert not (workdir / "x").exists()
+
+
 def test_claims_that_are_not_utf8_are_input_error(workdir, capsys):
     data = workdir / "latin1.csv"
     data.write_bytes("dateOfLoss,state,amountPaid\n2021-01-04,Cé,5\n".encode("latin-1"))
@@ -821,8 +848,9 @@ def test_cli_import_and_po_decentralized_do_not_load_scipy(workdir):
 
 
 def test_sweep_fresh_process_on_sweep_panel(tmp_path):
-    """A cold sweep of the checked-in panel: scipy is loaded in the calling
-    thread before the pool's threads solve their first LPs."""
+    """A cold sweep of the checked-in panel: the HiGHS binding and
+    scipy.sparse are loaded in the calling thread before the pool's threads
+    solve their first LPs, and scipy.optimize is never imported."""
     panel = load_panel(SWEEP_PANEL.read_text())
     with open(tmp_path / "claims.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -841,8 +869,9 @@ def test_sweep_fresh_process_on_sweep_panel(tmp_path):
 
         class Pool(cli.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
-                loaded = {"scipy.optimize", "scipy.sparse"} <= set(sys.modules)
+                loaded = {"scipy.optimize._highspy._core", "scipy.sparse"} <= set(sys.modules)
                 print("scipy loaded at pool start:", loaded)
+                print("scipy.optimize at pool start:", "scipy.optimize" in sys.modules)
                 super().__init__(*args, **kwargs)
 
         cli.ThreadPoolExecutor = Pool
@@ -851,6 +880,118 @@ def test_sweep_fresh_process_on_sweep_panel(tmp_path):
         """, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "scipy loaded at pool start: True" in proc.stdout
+    assert "scipy.optimize at pool start: False" in proc.stdout
     rows = read_csv(tmp_path / "sw" / "sweep.csv")
     assert len(rows) == 7
     assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
+
+
+@pytest.mark.parametrize("command", [
+    ["summary"], ["po-centralized"], ["stackelberg"], ["sweep", "--grid", "0.5,0.6"],
+], ids=lambda c: c[0])
+def test_cold_commands_do_not_import_scipy_optimize(workdir, command):
+    proc = _fresh_python(f"""
+        import sys
+        import paretopool.cli as cli
+        code = cli.main({command!r} + ["--config", "config.json",
+                                       "--data", "data.csv", "--out", "out"])
+        assert code == 0, code
+        print([m in sys.modules for m in
+               ("scipy", "scipy.optimize", "scipy.optimize._highspy._core")])
+        """, workdir)
+    assert proc.returncode == 0, proc.stderr
+    # summary loads no scipy at all; the LP commands the binding alone.
+    assert proc.stdout.splitlines()[-1] == str(
+        [False] * 3 if command == ["summary"] else [True, False, True])
+
+
+# min -x - 2y subject to x + y <= 1.5 and 0 <= x, y <= 1: -2.5 at (0.5, 1).
+_SMALL_LP = """
+    import numpy as np
+    from scipy import sparse
+    from paretopool import centralized
+
+    def value_by_centralized():
+        return centralized.linprog(
+            np.array([-1.0, -2.0]), A_ub=sparse.csr_matrix([[1.0, 1.0]]),
+            b_ub=np.array([1.5]), A_eq=sparse.csr_matrix((0, 2)), b_eq=np.zeros(0),
+            bounds=np.array([[0.0, 1.0], [0.0, 1.0]])).fun
+"""
+
+
+def test_highs_binding_loaded_by_file_is_the_one_scipy_optimize_uses(tmp_path):
+    proc = _fresh_python(_SMALL_LP + """
+    import sys
+    core = centralized._highs_binding()
+    assert "scipy.optimize" not in sys.modules
+    first = value_by_centralized()
+    import scipy.optimize
+    from scipy.optimize._highspy import _core
+    assert _core is core
+    assert centralized._highs_binding() is core
+    values = [first, value_by_centralized(),
+              scipy.optimize.linprog([-1.0, -2.0], A_ub=[[1.0, 1.0]], b_ub=[1.5],
+                                     bounds=[(0, 1)] * 2, method="highs").fun,
+              scipy.optimize.milp([-1.0, -2.0], bounds=scipy.optimize.Bounds(0, 1),
+                                  constraints=scipy.optimize.LinearConstraint(
+                                      [[1.0, 1.0]], -np.inf, 1.5)).fun]
+    assert values == [-2.5] * 4, values
+    """, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_highs_binding_after_scipy_optimize_is_scipys_module(tmp_path):
+    proc = _fresh_python("""
+    import scipy.optimize
+    """ + _SMALL_LP + """
+    assert centralized._highs_binding() is scipy.optimize._highspy._core
+    assert value_by_centralized() == -2.5
+    """, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_highs_binding_falls_back_to_the_plain_import(tmp_path):
+    # An empty folder in place of scipy's: find_spec finds no extension file.
+    proc = _fresh_python(_SMALL_LP + f"""
+    import sys
+    import scipy
+    real, scipy.__file__ = scipy.__file__, {str(tmp_path / "__init__.py")!r}
+    try:
+        core = centralized._highs_binding()
+    finally:
+        scipy.__file__ = real
+    assert "scipy.optimize" in sys.modules
+    assert core is sys.modules["scipy.optimize._highspy._core"]
+    assert value_by_centralized() == -2.5
+    """, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_highs_binding_loads_once_under_racing_threads(tmp_path):
+    proc = _fresh_python("""
+    import sys
+    import threading
+    from paretopool import centralized
+
+    n = 8
+    barrier, found = threading.Barrier(n), []
+
+    def load():
+        barrier.wait(timeout=30)
+        found.append(centralized._highs_binding())
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=load) for _ in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(0.005)
+    assert not any(t.is_alive() for t in threads)
+    assert len(found) == n and all(m is sys.modules[m.__name__] for m in found)
+    assert len(set(map(id, found))) == 1
+    assert "scipy.optimize" not in sys.modules
+    """, tmp_path)
+    assert proc.returncode == 0, proc.stderr

@@ -415,6 +415,11 @@ def test_panel_roundtrip_preserves_floats_bitwise():
     assert np.array_equal(clone.losses, losses)
 
 
+# A quoted cell one character over the csv module's field size limit.
+BIG_CELL = '"' + "A" * (csv.field_size_limit() + 1) + '"'
+OVERSIZED = f"field larger than field limit ({csv.field_size_limit()})"
+
+
 @pytest.mark.parametrize("text, message", [
     ("month,agent,loss\n2020-01\n", "line 2: missing cells"),
     ("month,agent,loss\n2020-01,A\n", "line 2: missing cells"),
@@ -422,10 +427,18 @@ def test_panel_roundtrip_preserves_floats_bitwise():
     ("month,agent,loss\n2020-01,A,inf\n", "line 2: out of range"),
     ("month,agent,loss\n2020-01,A,1e308\n2020-01,A,1e308\n",
      "agent 'A' has inf in month 2020-01"),
+    pytest.param(f"month,agent,loss\n2020-01,A,1\n2020-02,{BIG_CELL},1\n",
+                 f"line 3: {OVERSIZED}", id="oversized cell"),
+    pytest.param(f"month,agent,{BIG_CELL}\n", f"line 1: {OVERSIZED}", id="oversized header"),
 ])
 def test_load_panel_raises_only_format_error(text, message):
     with pytest.raises(FormatError, match=re.escape(message)):
         load_panel(text)
+
+
+def test_oversized_claim_cell_is_format_error_naming_its_line():
+    with pytest.raises(FormatError, match=re.escape(f"line 2: {OVERSIZED}")):
+        parse_losses(f"dateOfLoss,state,amountPaid\n2020-01-05,{BIG_CELL},1\n")
 
 
 def test_load_panel_rejects_an_empty_agent_label():
