@@ -94,13 +94,44 @@ class _HighsModel:
     upper: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class _Coo:
+    """A matrix as COO triplets, its fields named as those of scipy's
+    ``coo_array``, so that either one can be handed to :data:`linprog`."""
+
+    data: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+
+def _colwise(A_ub, A_eq):
+    """HiGHS's column-wise arrays (indptr, indices, data) of A_ub stacked
+    over A_eq, two COO matrices without duplicate entries: those of
+    scipy's ``csc_array(vstack((A_ub, A_eq)))``, rows sorted in each column."""
+    rows = np.concatenate([A_ub.row, A_eq.row + A_ub.shape[0]])
+    cols = np.concatenate([A_ub.col, A_eq.col])
+    order = np.lexsort((rows, cols))
+    counts = np.bincount(cols, minlength=A_ub.shape[1])
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    data = np.concatenate([A_ub.data, A_eq.data])
+    return indptr, rows[order].astype(np.int32), data[order]
+
+
 class _Linprog:
     """``scipy.optimize.linprog(method="highs")`` on scipy's own HiGHS binding.
 
     Same call, options (presolve on, dual simplex, no output) and
     post-solve check as scipy's; a solve that is not optimal, or whose
     solution breaks a bound, slack or equality row by more than
-    10 sqrt(1e-9), raises :class:`SolverError`.  The result is a
+    10 sqrt(1e-9), raises :class:`SolverError`.  A_ub and A_eq are COO
+    matrices (:class:`_Coo` or scipy's ``coo_array``); numpy merges them
+    into the column-wise arrays HiGHS reads (:func:`_colwise`), so no call
+    imports scipy's matrix package.  The result is a
     ``SimpleNamespace`` with the fields of scipy's (``x``, ``fun``,
     ``status``, ``nit``, ``ineqlin.marginals``, ...) plus ``model``, the
     live HiGHS model.  The binding comes from :func:`_highs_binding`, so
@@ -116,26 +147,26 @@ class _Linprog:
 
     def __call__(self, c, A_ub, b_ub, A_eq, b_eq, bounds,
                  warm: _HighsModel | None = None):
-        from scipy import sparse
         highspy = _highs_binding()
         inf = highspy.kHighsInf
         n_ub = len(b_ub)
-        A = sparse.csc_array(sparse.vstack((A_ub, A_eq)))
+        shape = (A_ub.shape[0] + A_eq.shape[0], A_ub.shape[1])
+        indptr, indices, data = _colwise(A_ub, A_eq)
         lhs = np.concatenate([np.full(n_ub, -inf), b_eq])
         rhs = np.concatenate([b_ub, b_eq])
         lower, upper = np.clip(np.asarray(bounds, dtype=float).T, -inf, inf)
         cost = np.asarray(c, dtype=float)
-        problem = (cost, A.indptr, A.indices, A.data, lhs, rhs, lower)
+        problem = (cost, indptr, indices, data, lhs, rhs, lower)
         if warm is None:
             model = _HighsModel(highspy._Highs(), problem, upper)
             for key, value in _HIGHS_OPTIONS:
                 model.highs.setOptionValue(key, value)
             lp = highspy.HighsLp()
-            lp.num_row_, lp.num_col_ = A.shape
-            lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = A.shape
+            lp.num_row_, lp.num_col_ = shape
+            lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = shape
             lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
             lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = \
-                A.indptr, A.indices, A.data
+                indptr, indices, data
             lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lower, upper
             lp.row_lower_, lp.row_upper_ = lhs, rhs
             if model.highs.passModel(lp) == highspy.HighsStatus.kError:
@@ -273,7 +304,6 @@ def solve_measure_lp(space: EmpiricalSpace, endowments, distortions, alpha: floa
     then holds this solve); any other difference raises DomainError.
     """
     xs, alpha = _check_inputs(space, endowments, distortions, alpha)
-    from scipy import sparse
     n_states = space.state_count
     bps_all, lens_all, nus_all, levels = [], [], [], []
     for X, d in zip(xs, distortions):
@@ -302,15 +332,12 @@ def solve_measure_lp(space: EmpiricalSpace, endowments, distortions, alpha: floa
         q_rows = np.concatenate([start + lv[lv > 0] - 1 for start, lv in zip(first, levels)])
         q_cols = np.concatenate([np.flatnonzero(lv) for lv in levels])
         n_cols = n_states + 2 * n_aux
-        a_eq = sparse.csr_matrix(
-            (np.repeat([1.0, -1.0, 1.0], [n_aux, inner.size + q_rows.size, n_states]),
-             (np.concatenate([layer, inner, q_rows, np.full(n_states, n_aux)]),
-              np.concatenate([r_col, r_col[inner] + 1, q_cols, np.arange(n_states)]))),
-            shape=(n_aux + 1, n_cols))
-        a_ub = sparse.csr_matrix(
-            (np.repeat([1.0, -1.0], n_aux),
-             (np.tile(layer, 2), np.concatenate([r_col + n_aux, r_col]))),
-            shape=(n_aux, n_cols))
+        a_eq = _Coo(np.repeat([1.0, -1.0, 1.0], [n_aux, inner.size + q_rows.size, n_states]),
+                    np.concatenate([layer, inner, q_rows, np.full(n_states, n_aux)]),
+                    np.concatenate([r_col, r_col[inner] + 1, q_cols, np.arange(n_states)]),
+                    (n_aux + 1, n_cols))
+        a_ub = _Coo(np.repeat([1.0, -1.0], n_aux), np.tile(layer, 2),
+                    np.concatenate([r_col + n_aux, r_col]), (n_aux, n_cols))
         cost = np.concatenate([np.zeros(n_states + n_aux), -lens])
         # R is free, not >= 0 (its chain sums q's): it stays basic, for fewer pivots.
         bounds = np.column_stack([np.repeat([0.0, -np.inf, 0.0], [n_states, n_aux, n_aux]),

@@ -196,12 +196,13 @@ def _load_belief(cfg: RunConfig, agent: AgentConfig, m: int) -> EmpiricalSpace |
 
 def _read_panel(path, loss_column: str) -> ingest.LossPanel:
     """The monthly panel of a claims CSV; text that is not UTF-8 (a leading
-    byte-order mark is allowed), an overflowing cell sum or no usable claim
-    row is a format error."""
+    byte-order mark is allowed), text that breaks the CSV grammar, an
+    overflowing cell sum or no usable claim row is a format error that
+    names the file."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             panel, report = ingest.parse_losses(fh, loss_column)
-        except (DomainError, UnicodeDecodeError) as exc:
+        except (DomainError, FormatError, UnicodeDecodeError) as exc:
             raise FormatError(f"{path}: {exc}") from exc
     log.info("parsed %d claim rows (%d used, %d rejected) into %d months x %d agents",
              report.total_rows, report.used_rows, len(report.rejected),

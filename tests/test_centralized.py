@@ -1,6 +1,7 @@
 """Centralized insurance: measure LP, indemnities, Stackelberg premiums."""
 
 import logging
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,16 @@ def test_lp_input_validation():
         solve_measure_lp(sp, [np.array([0.0, -1.0])], ds, 0.5)
 
 
+def coo(a):
+    """scipy's ``coo_array`` of a COO record with the same field names."""
+    return sparse.coo_array((a.data, (a.row, a.col)), shape=a.shape)
+
+
+def scipy_linprog(c, *, A_ub, A_eq, **kwargs):
+    """scipy's own ``linprog`` in place of ``centralized.linprog``."""
+    return linprog(c, A_ub=coo(A_ub), A_eq=coo(A_eq), **kwargs)
+
+
 def test_lp_nonzeros_linear_in_states_and_agents(monkeypatch):
     # Each (agent, layer) adds at most four nonzeros (R_ik and R_i,k+1 in
     # its chain row, aux_ik and R_ik in its cession row) and each state one
@@ -103,7 +114,7 @@ def test_lp_nonzeros_linear_in_states_and_agents(monkeypatch):
 
     def spy(*args, **kwargs):
         seen.append(kwargs["A_ub"].nnz + kwargs["A_eq"].nnz)
-        return linprog(*args, **kwargs)
+        return scipy_linprog(*args, **kwargs)
 
     monkeypatch.setattr(centralized, "linprog", spy)
     rng = np.random.default_rng(48)
@@ -206,8 +217,8 @@ def test_highs_binding_has_every_name_linprog_uses():
 def test_linprog_infeasible_lp_is_solver_error():
     # x <= -1 with 0 <= x <= 1.
     with pytest.raises(SolverError):
-        centralized.linprog(np.zeros(1), A_ub=sparse.csr_matrix([[1.0]]), b_ub=np.array([-1.0]),
-                            A_eq=sparse.csr_matrix((0, 1)), b_eq=np.zeros(0),
+        centralized.linprog(np.zeros(1), A_ub=sparse.coo_array([[1.0]]), b_ub=np.array([-1.0]),
+                            A_eq=sparse.coo_array((0, 1)), b_eq=np.zeros(0),
                             bounds=np.array([[0.0, 1.0]]))
 
 
@@ -234,7 +245,7 @@ def test_warm_lp_matches_cold_scipy_solve(monkeypatch):
             ds = base + [Distortion.power(gamma)]
             first, lp = lp is None, solve_measure_lp(sp, xs, ds, alpha, warm=lp)
             with monkeypatch.context() as m:
-                m.setattr(centralized, "linprog", linprog)
+                m.setattr(centralized, "linprog", scipy_linprog)
                 cold = solve_measure_lp(sp, xs, ds, alpha)
             if first:
                 # The cold solve is scipy's linprog, bit for bit.
@@ -243,6 +254,86 @@ def test_warm_lp_matches_cold_scipy_solve(monkeypatch):
             assert lp.value == pytest.approx(cold.value, rel=1e-9, abs=1e-12)
             gains = [centralized_welfare(sp, xs, ds, r).aggregate_gain for r in (lp, cold)]
             assert gains[0] == pytest.approx(gains[1], rel=1e-9, abs=1e-9)
+
+
+def scipy_csc(A_ub, A_eq):
+    """indptr, indices and data of scipy's ``csc_array(vstack((A_ub, A_eq)))``
+    on the blocks as ``csr_matrix``, as the measure LP once built them."""
+    blocks = [sparse.csr_matrix((a.data, (a.row, a.col)), shape=a.shape) for a in (A_ub, A_eq)]
+    A = sparse.csc_array(sparse.vstack(blocks))
+    return A.indptr, A.indices, A.data
+
+
+def assert_same_arrays(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
+def test_lp_matrix_is_scipys_csc_exactly(monkeypatch):
+    # The column-wise arrays HiGHS is given are scipy's, dtypes included,
+    # so every pivot is the one a scipy-built matrix gave.
+    rng = np.random.default_rng(51)
+    sp, xs, base, alpha = sweep_market()
+    markets = [(sp, xs, base + [Distortion.power(0.5)], alpha)]
+    for k in range(12):
+        n_states, n_agents = int(rng.integers(2, 40)), int(rng.integers(1, 5))
+        xs = [rand_losses(rng, n_states) for _ in range(n_agents)]
+        if k % 3 == 1:
+            xs = [np.round(X) for X in xs]  # tied losses: states share a level
+        if k % 3 == 2:
+            xs[0] = np.zeros(n_states)  # a constant-zero agent has no layer
+        markets.append((rand_space(rng, n_states), xs,
+                        [rand_distortion(rng) for _ in xs], float(rng.uniform(0.08, 0.9))))
+    seen = []
+
+    def spy(*args, **kwargs):
+        res = linprog_under_test(*args, **kwargs)
+        seen.append((kwargs["A_ub"], kwargs["A_eq"], res.model.problem[1:4]))
+        return res
+
+    linprog_under_test = centralized.linprog
+    monkeypatch.setattr(centralized, "linprog", spy)
+    for market in markets:
+        solve_measure_lp(*market)
+    assert len(seen) == len(markets)
+    for a_ub, a_eq, given in seen:
+        assert_same_arrays(given, scipy_csc(a_ub, a_eq))
+
+
+def test_lp_matrix_with_no_equality_rows_is_scipys_csc():
+    # max x + 2y + 3z subject to x + y <= 1, y + z <= 1, x + z <= 1.5, 0 <= x, y, z <= 1.
+    a_ub = sparse.coo_array(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]))
+    a_eq = sparse.coo_array((0, 3))
+    res = centralized.linprog(np.array([-1.0, -2.0, -3.0]), A_ub=a_ub,
+                              b_ub=np.array([1.0, 1.0, 1.5]), A_eq=a_eq, b_eq=np.zeros(0),
+                              bounds=np.array([[0.0, 1.0]] * 3))
+    assert_same_arrays(res.model.problem[1:4], scipy_csc(a_ub, a_eq))
+    assert res.fun == pytest.approx(-3.5)  # at (0.5, 0, 1)
+
+
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
+def test_lp_memory_linear_in_states_and_agents():
+    # Aim 3's "no hidden O(m^2)": doubling m, or n, at most about doubles
+    # the Python-side peak (HiGHS's own memory is not traced).  A dense
+    # layers x states block would add 8 n m^2 bytes and fail the bound.
+    def peak(m, n):
+        rng = np.random.default_rng(52)
+        sp = EmpiricalSpace.uniform(m)
+        xs = [rng.uniform(1.0, 100.0, m) for _ in range(n)]
+        ds = [Distortion.power(0.5 + 0.1 * i) for i in range(n)]
+        tracemalloc.start()
+        try:
+            solve_measure_lp(sp, xs, ds, 0.2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10, 2)  # the binding is loaded before any peak is traced
+    base = peak(60, 3)
+    assert peak(120, 3) < 2.3 * base
+    assert peak(60, 6) < 2.3 * base
 
 
 def test_sweep_repeated_grid_point_gives_identical_rows():

@@ -673,6 +673,9 @@ BAD_CLAIMS = {
                          "losses must be finite and non-negative: agent 'CA' has inf "
                          "in month 2021-03"),
     "empty body": ("dateOfLoss,state,amountPaid\n", "no usable claim rows, 0 rejected"),
+    "empty file": ("", "empty input: no header row"),
+    "missing column": ("dateOfLoss,state,paid\n2021-01-04,CA,5\n",
+                       "missing required column 'amountPaid'"),
     "every row rejected": ("dateOfLoss,state,amountPaid\n2021-01-04,,5\nsoon,CA,1\n",
                            "no usable claim rows, 2 rejected; "
                            "the first at line 2: empty agent label"),
@@ -701,7 +704,7 @@ def test_oversized_claim_cell_is_input_error(workdir, capsys, command):
     assert run(workdir, *command, "--config", workdir / "config.json",
                "--data", data, "--out", workdir / "x") == 2
     assert capsys.readouterr().err == (
-        f"input error: line 3: field larger than field limit ({limit})\n")
+        f"input error: {data}: line 3: field larger than field limit ({limit})\n")
     assert not (workdir / "x").exists()
 
 
@@ -848,9 +851,9 @@ def test_cli_import_and_po_decentralized_do_not_load_scipy(workdir):
 
 
 def test_sweep_fresh_process_on_sweep_panel(tmp_path):
-    """A cold sweep of the checked-in panel: the HiGHS binding and
-    scipy.sparse are loaded in the calling thread before the pool's threads
-    solve their first LPs, and scipy.optimize is never imported."""
+    """A cold sweep of the checked-in panel: the HiGHS binding is loaded in
+    the calling thread before the pool's threads solve their first LPs, and
+    neither scipy.optimize nor scipy.sparse is ever imported."""
     panel = load_panel(SWEEP_PANEL.read_text())
     with open(tmp_path / "claims.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -869,9 +872,9 @@ def test_sweep_fresh_process_on_sweep_panel(tmp_path):
 
         class Pool(cli.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
-                loaded = {"scipy.optimize._highspy._core", "scipy.sparse"} <= set(sys.modules)
-                print("scipy loaded at pool start:", loaded)
+                print("binding at pool start:", "scipy.optimize._highspy._core" in sys.modules)
                 print("scipy.optimize at pool start:", "scipy.optimize" in sys.modules)
+                print("scipy.sparse at pool start:", "scipy.sparse" in sys.modules)
                 super().__init__(*args, **kwargs)
 
         cli.ThreadPoolExecutor = Pool
@@ -879,8 +882,9 @@ def test_sweep_fresh_process_on_sweep_panel(tmp_path):
                            "--grid", "0.3,0.4,0.5,0.6,0.65,0.7", "--out", "sw"]))
         """, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert "scipy loaded at pool start: True" in proc.stdout
+    assert "binding at pool start: True" in proc.stdout
     assert "scipy.optimize at pool start: False" in proc.stdout
+    assert "scipy.sparse at pool start: False" in proc.stdout
     rows = read_csv(tmp_path / "sw" / "sweep.csv")
     assert len(rows) == 7
     assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
@@ -897,12 +901,12 @@ def test_cold_commands_do_not_import_scipy_optimize(workdir, command):
                                        "--data", "data.csv", "--out", "out"])
         assert code == 0, code
         print([m in sys.modules for m in
-               ("scipy", "scipy.optimize", "scipy.optimize._highspy._core")])
+               ("scipy", "scipy.optimize", "scipy.sparse", "scipy.optimize._highspy._core")])
         """, workdir)
     assert proc.returncode == 0, proc.stderr
     # summary loads no scipy at all; the LP commands the binding alone.
     assert proc.stdout.splitlines()[-1] == str(
-        [False] * 3 if command == ["summary"] else [True, False, True])
+        [False] * 4 if command == ["summary"] else [True, False, False, True])
 
 
 # min -x - 2y subject to x + y <= 1.5 and 0 <= x, y <= 1: -2.5 at (0.5, 1).
@@ -913,8 +917,8 @@ _SMALL_LP = """
 
     def value_by_centralized():
         return centralized.linprog(
-            np.array([-1.0, -2.0]), A_ub=sparse.csr_matrix([[1.0, 1.0]]),
-            b_ub=np.array([1.5]), A_eq=sparse.csr_matrix((0, 2)), b_eq=np.zeros(0),
+            np.array([-1.0, -2.0]), A_ub=sparse.coo_array([[1.0, 1.0]]),
+            b_ub=np.array([1.5]), A_eq=sparse.coo_array((0, 2)), b_eq=np.zeros(0),
             bounds=np.array([[0.0, 1.0], [0.0, 1.0]])).fun
 """
 
