@@ -7,7 +7,6 @@ shortfall, including Stackelberg premiums.  See the demos directory for
 worked narratives and the cli module for the command line surface.
 """
 
-from . import oracle
 from .centralized import (CentralizedContract, CentralizedWelfare,
                           centralized_welfare, solve_centralized,
                           solve_measure_lp, stackelberg_premiums)

@@ -8,12 +8,32 @@ calendar month and agent.  The panel spans every month between the first
 and last observed claim, so months without claims become genuine zero-loss
 states; with uniform weights the panel is an empirical probability space.
 
-``parse_losses`` reads the file in one streaming ``csv.reader`` pass and
-keeps no row: each distinct date text is parsed once, each distinct label
-stripped once, and the used rows become three flat lists (month key, agent
-id, loss) that one ``np.bincount`` sums into the panel.  It accepts and
-rejects exactly what a per-row ``csv.DictReader`` loop would, with the same
-reasons and line numbers.
+``parse_losses`` reads the lines after the header in blocks of a fixed
+number of lines and keeps no line beyond its block.  A block is parsed in C
+by ``np.loadtxt`` (date and label as fixed-width strings, the loss as a
+float), its dates by a vectorized kernel that accepts only a strict ASCII
+YYYY-MM-DD naming a real day, and its labels factorized on their
+fixed-width text.  The block path declines a block it cannot prove equal
+to the per-row loop, one holding
+
+- a ``"``, a carriage return or a NUL character, or a line longer than the
+  csv module's field size limit at the time of the call;
+- a row loadtxt cannot read, such as a short or whitespace-only row, or a
+  loss cell that is empty or that float() reads and loadtxt does not;
+- a row the loop would reject or that the block path cannot check: a date
+  cell that does not start with a strict YYYY-MM-DD (a padded one, say), a
+  label that is empty, padded or as wide as its field (loadtxt may have cut
+  it), a loss that is negative or not finite.
+
+From the first declined block to the end of the file, and for the whole
+file when the header repeats a name or the loss column is the date or label
+column, the per-row loop reads the lines with ``csv.reader``, caching each
+distinct date text and label.  Rejected rows and their line numbers
+therefore come from the loop alone: it accepts and rejects exactly what a
+per-row ``csv.DictReader`` loop would, with the same reasons and line
+numbers.  The used rows of both paths become three flat columns (month
+key, agent id, loss) that one ``np.bincount`` sums into the panel in row
+order.
 """
 
 from __future__ import annotations
@@ -21,6 +41,7 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import io
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -34,6 +55,29 @@ from .riskmeasure import EmpiricalSpace
 DATE_COLUMN = "dateOfLoss"
 AGENT_COLUMN = "state"
 DEFAULT_LOSS_COLUMN = "amountPaid"
+
+# Claim lines per block: memory holds one block of text and fields at a
+# time beside the used rows' three columns.
+_BLOCK_LINES = 1 << 13
+# The fields np.loadtxt reads, which it cuts silently to their width.  The
+# loop reads a date as fromisoformat(raw.strip()[:10]); a cell that passes
+# the date kernel has no leading whitespace, so its first 10 characters are
+# all the loop reads of it.  A label as wide as its field may have been cut.
+_LABEL_WIDTH = 16
+_FIELDS = [("date", "U10"), ("label", f"U{_LABEL_WIDTH}"), ("loss", "f8")]
+# csv reads quotes and carriage returns by rules of its own, and loadtxt
+# drops NUL from strings.
+_LOOP_ONLY = '"\r\x00'
+# A strict YYYY-MM-DD: each code point minus its base is at most its span.
+_ISO_BASE = np.array([48, 48, 48, 48, 45, 48, 48, 45, 48, 48], dtype=np.uint32)
+_ISO_SPAN = np.array([9, 9, 9, 9, 0, 9, 9, 0, 9, 9], dtype=np.uint32)
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+# Odd multipliers, one per 64-bit word of a label field, hashing labels for
+# factorizing: np.unique on the strings themselves sorts them, at about
+# 0.4 us a row.
+_LABEL_HASH = np.array([0x98e64a46eaca6a33, 0xc096435a1624781b, 0xea29dbdbeff7f867,
+                        0x8896ae6ade9a015d, 0xe4ef5de481811c63, 0xa54c2140eb3c8cd5,
+                        0x9c5f7f319f02104f, 0x8ea84e3f7152ec81], dtype=np.uint64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,14 +124,15 @@ class ParseReport:
 
 
 def _assemble(keys, agent_ids, losses, labels) -> LossPanel:
-    """Months x agents panel from per-row (month key, agent id, loss) lists.
+    """Months x agents panel from per-row (month key, agent id, loss) lists
+    or arrays.
 
     A month key is 12 * year + month - 1 and ``labels[id]`` names an agent.
     Every month from the first to the last key is a state and absent cells
     are zero losses; agents without rows are dropped and the rest sorted by
     label.  Rows of one cell are summed in input order by ``np.bincount``.
     """
-    if not keys:
+    if not len(keys):
         return LossPanel((), (), np.zeros((0, 0)))
     keys = np.asarray(keys, dtype=np.int64)
     ids = np.asarray(agent_ids, dtype=np.intp)
@@ -111,13 +156,14 @@ def _open_text(source):
 
 
 @contextmanager
-def _csv_errors(reader):
+def _csv_errors(reader, lines_before: int = 0):
     """Report the csv module's own errors, such as a cell over its field
-    size limit, as FormatError naming the line."""
+    size limit, as FormatError naming the line; ``lines_before`` lines were
+    read before the reader's first."""
     try:
         yield
     except csv.Error as exc:
-        raise FormatError(f"line {reader.line_num}: {exc}") from exc
+        raise FormatError(f"line {lines_before + reader.line_num}: {exc}") from exc
 
 
 def _month_key(raw_date: str) -> int:
@@ -127,6 +173,131 @@ def _month_key(raw_date: str) -> int:
     except ValueError:
         return -1
     return 12 * date.year + date.month - 1
+
+
+def _iso_month_keys(dates: np.ndarray):
+    """12 * year + month - 1 of each ``U10`` date, or None unless every one
+    is a strict ASCII YYYY-MM-DD naming a real day of a year >= 1, which
+    date.fromisoformat reads as that day in Python 3.10 and 3.11 alike."""
+    c = np.ascontiguousarray(dates).view(np.uint32).reshape(len(dates), 10) - _ISO_BASE
+    if (c > _ISO_SPAN).any():
+        return None
+    year = ((c[:, 0] * 10 + c[:, 1]) * 10 + c[:, 2]) * 10 + c[:, 3]
+    month = c[:, 5] * 10 + c[:, 6]
+    day = c[:, 8] * 10 + c[:, 9]
+    if not ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)).all():
+        return None
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0)) & (month == 2)
+    if not (day <= _MONTH_DAYS[month - 1] + leap).all():
+        return None
+    return 12 * year.astype(np.int64) + month - 1
+
+
+def _agent_ids(field: np.ndarray, labels: dict[str, int]):
+    """The agent id of each fixed-width label, new labels added to
+    ``labels``; None on a label that is empty, padded or as wide as its
+    field, or on a hash collision."""
+    field = np.ascontiguousarray(field)
+    words = field.view(np.uint64).reshape(len(field), -1)
+    hashes, inverse = np.unique(words @ _LABEL_HASH, return_inverse=True)
+    rep = np.empty(len(hashes), dtype=np.intp)
+    rep[inverse] = np.arange(len(field))
+    if not (words == words[rep][inverse]).all():
+        return None
+    names = field[rep].tolist()
+    if not all(name and name.strip() == name and len(name) < _LABEL_WIDTH
+               for name in names):
+        return None
+    ids = np.array([labels.setdefault(name, len(labels)) for name in names],
+                   dtype=np.intp)
+    return ids[inverse]
+
+
+def _read_block(block: list[str], cols, labels: dict[str, int]):
+    """Month keys, agent ids and losses of a block of claim lines, parsed by
+    ``np.loadtxt``, or None where that parse is not provably the loop's.
+
+    ``cols`` are the date, label and loss columns.  The block is declined
+    if it holds a ``_LOOP_ONLY`` character or a line over the csv field
+    size limit, if loadtxt cannot read a row, or if a date, label or loss
+    is one the loop would reject or read by a rule of its own.
+    """
+    text = "".join(block)
+    if (any(c in text for c in _LOOP_ONLY)
+            or max(map(len, block)) > csv.field_size_limit()):
+        return None
+    rows = len(block) - block.count("\n")  # blank lines: csv and loadtxt skip them
+    if not rows:
+        return np.empty(0, np.int64), np.empty(0, np.intp), np.empty(0)
+    try:
+        rec = np.loadtxt(block, dtype=_FIELDS, delimiter=",", usecols=cols,
+                         comments=None, ndmin=1, encoding=None)
+    except ValueError:  # such as a short or whitespace-only row, an empty loss
+        return None
+    loss = rec["loss"]
+    if len(rec) != rows or not ((loss >= 0.0) & (loss < np.inf)).all():
+        return None
+    keys = _iso_month_keys(rec["date"])
+    ids = None if keys is None else _agent_ids(rec["label"], labels)
+    return None if ids is None else (keys, ids, loss.copy())
+
+
+def _read_rows(lines, cols, labels: dict[str, int], lines_before: int):
+    """The per-row loop: month keys, agent ids, losses and rejected rows of
+    the claim lines, numbered on from ``lines_before``.
+
+    One pass, no row kept: month keys and agent ids are cached per raw cell
+    text, and the used rows go to three flat lists.
+    """
+    reader = csv.reader(lines)
+    di, ai, li = cols
+    width = max(cols) + 1
+    month_of: dict[str, int] = {}
+    agent_of: dict[str, int] = {}
+    keys: list[int] = []
+    ids: list[int] = []
+    losses: list[float] = []
+    rejected: list[tuple[int, str]] = []
+    with _csv_errors(reader, lines_before):
+        for row in reader:
+            if len(row) < width:
+                if not row:
+                    continue
+                row = row + [""] * (width - len(row))
+            raw = row[di]
+            key = month_of.get(raw)
+            if key is None:
+                key = month_of[raw] = _month_key(raw)
+            if key < 0:
+                rejected.append((lines_before + reader.line_num, f"bad date {raw.strip()!r}"))
+                continue
+            raw = row[ai]
+            agent = agent_of.get(raw)
+            if agent is None:
+                label = raw.strip()
+                agent = agent_of[raw] = labels.setdefault(label, len(labels)) if label else -1
+            if agent < 0:
+                rejected.append((lines_before + reader.line_num, "empty agent label"))
+                continue
+            raw = row[li]
+            try:
+                loss = float(raw)
+            except ValueError:
+                # str.strip() also strips \x1c-\x1f, which float() keeps.
+                raw = raw.strip()
+                try:
+                    loss = float(raw) if raw else 0.0
+                except ValueError:
+                    rejected.append((lines_before + reader.line_num,
+                                     f"non-numeric loss {raw!r}"))
+                    continue
+            if not 0.0 <= loss < math.inf:
+                rejected.append((lines_before + reader.line_num, f"invalid loss {loss!r}"))
+                continue
+            keys.append(key)
+            ids.append(agent)
+            losses.append(loss)
+    return keys, ids, losses, rejected
 
 
 def parse_losses(source, loss_column: str = DEFAULT_LOSS_COLUMN
@@ -143,63 +314,52 @@ def parse_losses(source, loss_column: str = DEFAULT_LOSS_COLUMN
     skipped, a duplicated header name refers to its last column and cells
     beyond a short row are empty.  A rejected row is reported with the
     number of its last physical line.
+
+    The lines after the header are read in blocks of ``_BLOCK_LINES``, each
+    parsed by ``np.loadtxt`` and the date kernel.  The per-row loop reads
+    the rest of the file from the first block that path declines (see the
+    module docstring), and all of it when the header repeats a name or the
+    loss column is the date or label column; so only the loop rejects rows.
     """
-    reader = csv.reader(_open_text(source))
+    lines = iter(_open_text(source))
+    reader = csv.reader(lines)
     with _csv_errors(reader):
         header = next(reader, None)
-        if header is None:
-            raise FormatError("empty input: no header row")
-        for needed in (DATE_COLUMN, AGENT_COLUMN, loss_column):
-            if needed not in header:
-                raise FormatError(f"missing required column '{needed}'")
-        index = {name: j for j, name in enumerate(header)}
-        di, ai, li = index[DATE_COLUMN], index[AGENT_COLUMN], index[loss_column]
-        width = max(di, ai, li) + 1
-        # One pass, no row kept: month keys and agent ids are cached per raw
-        # cell text, and the used rows go to three flat lists.
-        month_of: dict[str, int] = {}
-        agent_of: dict[str, int] = {}
-        labels: dict[str, int] = {}
-        keys: list[int] = []
-        ids: list[int] = []
-        losses: list[float] = []
-        rejected: list[tuple[int, str]] = []
-        for row in reader:
-            if len(row) < width:
-                if not row:
-                    continue
-                row = row + [""] * (width - len(row))
-            raw = row[di]
-            key = month_of.get(raw)
-            if key is None:
-                key = month_of[raw] = _month_key(raw)
-            if key < 0:
-                rejected.append((reader.line_num, f"bad date {raw.strip()!r}"))
-                continue
-            raw = row[ai]
-            agent = agent_of.get(raw)
-            if agent is None:
-                label = raw.strip()
-                agent = agent_of[raw] = labels.setdefault(label, len(labels)) if label else -1
-            if agent < 0:
-                rejected.append((reader.line_num, "empty agent label"))
-                continue
-            raw = row[li]
-            try:
-                loss = float(raw)
-            except ValueError:
-                # float() ignores the same surrounding whitespace as str.strip().
-                raw = raw.strip()
-                if raw:
-                    rejected.append((reader.line_num, f"non-numeric loss {raw!r}"))
-                    continue
-                loss = 0.0
-            if not 0.0 <= loss < math.inf:
-                rejected.append((reader.line_num, f"invalid loss {loss!r}"))
-                continue
-            keys.append(key)
-            ids.append(agent)
-            losses.append(loss)
+    if header is None:
+        raise FormatError("empty input: no header row")
+    for needed in (DATE_COLUMN, AGENT_COLUMN, loss_column):
+        if needed not in header:
+            raise FormatError(f"missing required column '{needed}'")
+    index = {name: j for j, name in enumerate(header)}
+    cols = (index[DATE_COLUMN], index[AGENT_COLUMN], index[loss_column])
+    labels: dict[str, int] = {}
+    parts = []
+    lines_before = reader.line_num
+    # A loss column that is the date or label column would name one column
+    # twice in usecols; a repeated header name leaves DictReader's
+    # last-column rule to the loop alone.
+    use_blocks = len(index) == len(header) and len(set(cols)) == 3
+    while use_blocks:
+        block: list[str] = []
+        try:
+            block.extend(itertools.islice(lines, _BLOCK_LINES))
+        except (OSError, ValueError):
+            # A read error, such as undecodable text, surfaces where the
+            # loop would meet it: after the lines before it are read.
+            _read_rows(block, cols, labels, lines_before)
+            raise
+        if not block:
+            break
+        part = _read_block(block, cols, labels)
+        if part is None:
+            lines = itertools.chain(block, lines)
+            break
+        parts.append(part)
+        lines_before += len(block)
+    keys, ids, losses, rejected = _read_rows(lines, cols, labels, lines_before)
+    parts.append((np.array(keys, dtype=np.int64), np.array(ids, dtype=np.intp),
+                  np.array(losses, dtype=float)))
+    keys, ids, losses = (np.concatenate(column) for column in zip(*parts))
     # No usable rows is not a format error: rejections are reported, and an
     # empty body legitimately yields an empty panel.
     return (_assemble(keys, ids, losses, list(labels)),

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -492,6 +493,40 @@ def test_po_decentralized_unknown_endowment_column(workdir):
                "--data", workdir / "data.csv", "--out", workdir / "x") == 4
 
 
+def test_po_decentralized_memory_linear_in_months_and_agents(tmp_path):
+    # Aim 3's "no hidden O(m^2)": doubling m, or n, at most about doubles
+    # the Python-side peak of a whole run, claim ingest included.  Three
+    # claim rows per cell and one robust agent; every file here fits one
+    # ingest block, so the block's own buffers scale with it too.
+    def peak(m, n):
+        rng = np.random.default_rng(100 * m + n)
+        labels = [f"A{j:02d}" for j in range(n)]
+        lines = ["dateOfLoss,state,amountPaid"] + [
+            f"{1900 + i // 12:04d}-{i % 12 + 1:02d}-{rng.integers(1, 29):02d},"
+            f"{label},{1e3 * rng.pareto(2.0):.2f}"
+            for i in range(m) for label in labels for _ in range(3)]
+        (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+        family = ("kahneman_tversky", "power")
+        cfg = base_config(agents=[
+            {"label": label, "distortions": [{"family": family[j % 2],
+                                              "params": {"gamma": round(0.5 + 0.03 * j, 2)}}]}
+            for j, label in enumerate(labels)])
+        cfg["agents"][0]["distortions"].append({"family": "tvar", "params": {"alpha": 0.3}})
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        tracemalloc.start()
+        try:
+            assert run(tmp_path, "po-decentralized", "--config", tmp_path / "config.json",
+                       "--data", tmp_path / "data.csv", "--out", tmp_path / "out") == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(24, 2)  # lazy imports and caches are filled before any peak is traced
+    base = peak(240, 4)
+    assert peak(480, 4) < 2.3 * base
+    assert peak(240, 8) < 2.3 * base
+
+
 # -- po-centralized -----------------------------------------------------------
 
 
@@ -848,6 +883,17 @@ def test_cli_import_and_po_decentralized_do_not_load_scipy(workdir):
         """, workdir)
     assert proc.returncode == 0, proc.stderr
     assert (workdir / "dec" / "market_report.json").exists()
+
+
+def test_cli_import_does_not_load_the_test_oracle(workdir):
+    proc = _fresh_python("""
+        import sys
+        import paretopool.cli
+        assert "paretopool.oracle" not in sys.modules, "import paretopool.cli loaded the oracle"
+        from paretopool import oracle
+        assert oracle is sys.modules["paretopool.oracle"]
+        """, workdir)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sweep_fresh_process_on_sweep_panel(tmp_path):

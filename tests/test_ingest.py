@@ -5,6 +5,7 @@ import datetime as dt
 import io
 import math
 import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from paretopool import (Distortion, LossPanel, choquet, correlation,
                         parse_losses, summary_stats, to_space)
+from paretopool import ingest
 from paretopool.errors import DomainError, FormatError
 from paretopool.ingest import ParseReport, load_panel, write_panel
 
@@ -271,6 +273,185 @@ def test_parse_losses_matches_dictreader_reference_generated(
     _assert_matches_reference(buf.getvalue())
 
 
+# -- numpy's block path against the same reference ---------------------------
+
+
+@contextmanager
+def _loop_lines(block_lines=None):
+    """Collect the lines the per-row loop reads, with blocks of
+    ``block_lines`` lines if given: an empty list means that numpy's block
+    path read every line after the header."""
+    seen = []
+    real, size = ingest._read_rows, ingest._BLOCK_LINES
+
+    def spy(lines, *args):
+        lines = list(lines)
+        seen.extend(lines)
+        return real(lines, *args)
+
+    ingest._read_rows, ingest._BLOCK_LINES = spy, block_lines or size
+    try:
+        yield seen
+    finally:
+        ingest._read_rows, ingest._BLOCK_LINES = real, size
+
+
+_CLEAN_SUFFIXES = st.sampled_from(["", "", "T00:00:00", "T12:30", "T23:59:59.5+02:00", "T08:00Z"])
+_CLEAN_LABELS = st.text(st.characters(categories=("Lu", "Ll", "Nd")),
+                        min_size=1, max_size=15)
+_CLEAN_LOSSES = st.one_of(st.integers(0, 10 ** 12).map(str),
+                          st.decimals(0, 10 ** 9, places=2).map(str),
+                          st.floats(0.0, 1e300).map(repr))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(),
+       order=st.permutations(_COLUMNS),
+       first_year=st.sampled_from([1, 1896, 1899, 1999, 2023, 9996]),
+       block_lines=st.integers(1, 9),
+       final_newline=st.booleans())
+def test_clean_claims_take_the_block_path(data, order, first_year, block_lines,
+                                          final_newline):
+    # Four years of dates, so that the panel stays small.
+    dates = st.builds(lambda day, suffix: day.isoformat() + suffix,
+                      st.dates(dt.date(first_year, 1, 1), dt.date(first_year + 3, 12, 31)),
+                      _CLEAN_SUFFIXES)
+    rows = data.draw(st.lists(st.one_of(st.tuples(dates, _CLEAN_LABELS, _CLEAN_LOSSES),
+                                        st.none()), max_size=40))
+    lines = [",".join(order)]
+    for row in rows:
+        if row is None:
+            lines.append("")             # a blank line
+            continue
+        value = dict(zip(("dateOfLoss", "state", "amountPaid"), row), other="o")
+        lines.append(",".join(value[name] for name in order))
+    text = "\n".join(lines) + ("\n" if final_newline else "")
+    with _loop_lines(block_lines) as seen:
+        _assert_matches_reference(text)
+    assert seen == []
+
+
+_CLEAN = "dateOfLoss,state,amountPaid\n2020-01-05,CA,1\n"
+# One case per rule that sends a block to the loop.
+DECLINE_CASES = {
+    "quote": _CLEAN + '2020-01-06,"TX",2\n',
+    "carriage return": _CLEAN + "2020-01-06,TX,2\r\n2020-01-07,TX,3\n",
+    "NUL": _CLEAN + "2020-01-06,T\x00,2\n",
+    "whitespace-only line": _CLEAN + " \t\n2020-01-06,TX,2\n",
+    "short row": _CLEAN + "2020-01-06,TX\n",
+    "label as wide as its field": _CLEAN + "2020-01-06," + "T" * 16 + ",2\n",
+    "label wider than its field": _CLEAN + "2020-01-06," + "T" * 17 + ",2\n",
+    "duplicated header name": "state,dateOfLoss,amountPaid,state\nXX,2020-01-05,1,CA\n",
+    "padded label": _CLEAN + "2020-01-06,TX\u00a0,2\n",
+    "empty loss": _CLEAN + "2020-01-06,TX,\n",
+    "loss float() reads and loadtxt does not": _CLEAN + "2020-01-06,TX,1_000\n",
+    "padded date": _CLEAN + " 2020-01-06,TX,2\n",
+    "impossible date": _CLEAN + "2021-02-29,TX,2\n",
+    "year zero": _CLEAN + "0000-01-06,TX,2\n",
+    "empty label": _CLEAN + "2020-01-06,,2\n",
+    "negative loss": _CLEAN + "2020-01-06,TX,-2\n",
+    "infinite loss": _CLEAN + "2020-01-06,TX,inf\n",
+    "nan loss": _CLEAN + "2020-01-06,TX,nan\n",
+}
+
+
+def _body(text):
+    """The lines a text stream of ``text`` yields, but the first."""
+    return io.StringIO(text).readlines()[1:]
+
+
+@pytest.mark.parametrize("case", sorted(DECLINE_CASES))
+def test_declined_block_is_read_by_the_loop(case):
+    with _loop_lines() as seen:
+        _assert_matches_reference(DECLINE_CASES[case])
+    assert seen == _body(DECLINE_CASES[case])
+
+
+@pytest.mark.parametrize("block_path", [True, False])
+def test_loss_padded_with_separator_characters(block_path):
+    # str.strip() strips \x1c-\x1f and float() does not; the loss is 2.0.
+    text = _CLEAN + "2020-01-06,TX,\x1c2\x1f\n" + ("" if block_path else '"2020-01-07",TX,1\n')
+    with _loop_lines() as seen:
+        _assert_matches_reference(text)
+    assert (seen == []) == block_path
+
+
+def test_label_hash_collision_is_read_by_the_loop(monkeypatch):
+    # With every multiplier 0 all labels share one hash.
+    monkeypatch.setattr(ingest, "_LABEL_HASH", np.zeros_like(ingest._LABEL_HASH))
+    text = _CLEAN + "2020-01-06,TX,2\n"
+    with _loop_lines() as seen:
+        _assert_matches_reference(text)
+    assert seen == _body(text)
+
+
+def test_loss_column_that_is_the_label_column_is_read_by_the_loop():
+    with _loop_lines() as seen:
+        _assert_matches_reference(_CLEAN, loss_column="state")
+    assert seen == _body(_CLEAN)
+
+
+@pytest.mark.parametrize("cell, error", [
+    ("abcdefghijklmnopq", None),                 # the line is over the limit, no cell is
+    ("abcdefghijklmnopqrstu", "line 3: field larger than field limit (20)"),
+])
+def test_field_size_limit_is_read_at_call_time(cell, error):
+    text = _CLEAN + f"2020-01-06,TX,2,{cell}\n2020-01-07,TX,3\n"
+    old = csv.field_size_limit(20)
+    try:
+        with _loop_lines() as seen:
+            if error:
+                with pytest.raises(FormatError, match=re.escape(error)):
+                    parse_losses(text)
+            else:
+                _assert_matches_reference(text)
+    finally:
+        csv.field_size_limit(old)
+    assert seen == _body(text)
+
+
+# Read in blocks of four lines; the loop takes over at the given line.
+BOUNDARY_CASES = {
+    "decline in the second block": (
+        "dateOfLoss,state,amountPaid\n" + "2020-01-05,CA,1\n" * 4
+        + '2020-02-05,TX,2\nbad,TX,3\n2020-03-05,"T\nX",4\n2020-03-06,,5\n', 6),
+    "rejected row on the last line of a block": (
+        "dateOfLoss,state,amountPaid\n" + "2020-01-05,CA,1\n" * 4
+        + "2020-02-05,TX,2\n" * 3 + "2020-02-30,TX,2\n2020-03-05,TX,-1\n", 6),
+    "quoted field right after a clean block": (
+        "dateOfLoss,state,amountPaid\n2020-01-05,CA,1\n\n2020-01-06,CA,2\n2020-01-07,CA,3\n"
+        '"2020-\n02-05",TX,2\n2020-02-06,TX,x\n2020-02-07,"",1\n', 6),
+    "header over two lines": (
+        'dateOfLoss,state,amountPaid,"a\nnote"\n' + "2020-01-05,CA,1,n\n" * 4
+        + "2020-01-06,CA,1\n2020-01-07, CA,2\n2020-13-01,CA,3\n", 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+def test_block_boundaries_keep_line_numbers(case):
+    text, first_loop_line = BOUNDARY_CASES[case]
+    with _loop_lines(4) as seen:
+        _assert_matches_reference(text)
+    assert seen == _body(text)[first_loop_line - 2:]
+    assert parse_losses(text)[1].rejected
+
+
+def test_mid_size_claims_equal_the_loop_exactly():
+    rng = np.random.default_rng(20)
+    n = 20000
+    month = rng.integers(0, 240, n)
+    day = rng.integers(1, 29, n)
+    agent = rng.integers(0, 12, n)
+    loss = rng.pareto(1.5, n) * 1000.0
+    text = "dateOfLoss,state,amountPaid\n" + "".join(
+        f"{1990 + k // 12:04d}-{k % 12 + 1:02d}-{d:02d},S{j:02d},{x:.2f}\n"
+        for k, d, j, x in zip(month.tolist(), day.tolist(), agent.tolist(), loss.tolist()))
+    with _loop_lines() as seen:
+        _assert_matches_reference(text)
+    assert seen == []
+
+
 # -- LossPanel ----------------------------------------------------------------
 
 
@@ -439,6 +620,22 @@ def test_load_panel_raises_only_format_error(text, message):
 def test_oversized_claim_cell_is_format_error_naming_its_line():
     with pytest.raises(FormatError, match=re.escape(f"line 2: {OVERSIZED}")):
         parse_losses(f"dateOfLoss,state,amountPaid\n2020-01-05,{BIG_CELL},1\n")
+
+
+def test_read_error_surfaces_after_the_lines_before_it():
+    # The first block's read meets the undecodable byte; the loop, reading
+    # line by line, meets the oversized cell on line 3 first.
+    head = f"dateOfLoss,state,amountPaid\n2020-01-05,CA,1\n2020-01-05,{BIG_CELL},1\n"
+    tail = "2020-01-06,CA,1\n" * 2000
+    data = (head + tail).encode() + b"\xff\n"
+
+    def stream(raw):
+        return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+
+    with pytest.raises(FormatError, match=re.escape(f"line 3: {OVERSIZED}")):
+        parse_losses(stream(data))
+    with pytest.raises(UnicodeDecodeError):
+        parse_losses(stream(data.replace(BIG_CELL.encode(), b"CA")))
 
 
 def test_load_panel_rejects_an_empty_agent_label():
