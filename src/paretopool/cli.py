@@ -262,10 +262,33 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerows(rows)
 
 
+def _json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)``, each line after the first led by ``pad``.
+
+    Under ``indent`` json's pure-Python encoder writes every token; here a
+    list of plain floats is one join of ``float.__repr__``, json's own
+    spelling of a finite float, lists and dicts with string keys recurse,
+    and every other value is json's text.
+    """
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if type(value) is list and value:
+        if set(map(type, value)) == {float}:
+            body = sep.join(map(float.__repr__, value))
+            if "n" not in body:        # json spells nan and inf NaN and Infinity
+                return f"[\n{inner}{body}\n{pad}]"
+        return f"[\n{inner}{sep.join(_json_text(v, inner) for v in value)}\n{pad}]"
+    if type(value) is dict and set(map(type, value)) == {str}:
+        body = sep.join(f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in value.items())
+        return f"{{\n{inner}{body}\n{pad}}}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    # One write: json.dump with an indent writes each token on its own.
+    """Write ``payload`` as the same bytes as ``json.dumps(payload, indent=2)``
+    and a newline, in one write."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        fh.write(_json_text(payload) + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -276,12 +299,18 @@ def _out_dir(args) -> Path:
 
 def _ranked_rows(S: np.ndarray, columns: np.ndarray) -> str:
     """CSV body of rows rank, state, S, columns[:, state] with states in
-    stable S order; one %-format per row writes each float as ``_fmt``."""
+    stable S order; one %-format per row writes each float as ``_fmt``.
+
+    A column of one bit pattern (so 0.0 and -0.0 differ) is formatted once
+    into the row template; a formatted float holds no '%'."""
     order = np.argsort(S, kind="stable")
-    table = np.vstack([S, columns]).T[order].tolist()
-    line = "%d,%d," + ",".join(["%.9g"] * (len(columns) + 1)) + "\n"
-    return "".join([line % (rank, state, *values)
-                    for rank, (state, values) in enumerate(zip(order.tolist(), table))])
+    table = np.vstack([S, columns]).T[order]
+    bits = table.view(np.int64)
+    varies = (bits != bits[0]).any(axis=0)
+    line = "%d,%d," + ",".join(["%.9g" if v else "%.9g" % x for x, v in
+                                zip(table[0].tolist(), varies.tolist())]) + "\n"
+    return "".join([line % (rank, state, *values) for rank, (state, values)
+                    in enumerate(zip(order.tolist(), table[:, varies].tolist()))])
 
 
 # -- subcommands -------------------------------------------------------------
@@ -326,8 +355,10 @@ def cmd_po_decentralized(args) -> int:
     header = ["rank", "state", "aggregate_loss"]
     for label in labels:
         header += [f"retained_raw_{label}", f"retained_norm_{label}"]
-    # g_i(S) + c_i, then the zero-retention-at-zero-loss g_i(S), per agent.
-    retained = np.stack([alloc.profiles(S), alloc.coverage(S)], axis=1)
+    # g_i(S) + c_i, then the zero-retention-at-zero-loss g_i(S), per agent;
+    # the first is alloc.profiles(S), from one evaluation of the layer grid.
+    coverage = alloc.coverage(S)
+    retained = np.stack([coverage + alloc.side_payments[:, None], coverage], axis=1)
     rows = _ranked_rows(S, retained.reshape(2 * len(labels), -1))
     _write_csv(out / "retention_decentralized.csv", header, rows)
     print(f"total welfare gain {_fmt(report.total_welfare)}; outputs in {out}")

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paretopool import (AgentSpec, Distortion, DistortionSet, EmpiricalSpace,
                         LayerAllocation, centralized_welfare, parse_losses,
@@ -24,6 +26,7 @@ from paretopool import cli
 from paretopool.cli import load_config, main, sweep_rows
 from paretopool.errors import ConfigError, UnsupportedOperationError
 from paretopool.ingest import load_panel
+from testkit import rand_agents, rand_distortion
 
 SRC = Path(paretopool.__file__).resolve().parents[1]
 SWEEP_PANEL = Path(__file__).resolve().parent / "data" / "sweep_panel.csv"
@@ -375,6 +378,69 @@ def test_ranked_rows_format_each_float_as_fmt():
         cells = [str(rank), str(state), cli._fmt(S[state])]
         cells += [cli._fmt(col[state]) for col in columns]
         assert line.split(",") == cells
+
+
+@pytest.mark.parametrize("S, columns", [
+    ([3.0, 1.0, 2.0], [[-0.0, -0.0, -0.0], [1.0, 2.0, 3.0]]),
+    ([3.0, 1.0, 2.0], [[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0]]),
+    ([3.0, 1.0, 2.0, 1.0], [[math.nan] * 4, [math.inf] * 4, [-math.inf] * 4, [0.5, 0.25, 0.5, 1.0]]),
+    ([4.0], [[-0.0], [1 / 3], [math.nan]]),
+    ([2.5, 2.5, 2.5], [[0.0] * 3, [-0.0] * 3, [1e16] * 3, [5e-324] * 3]),
+], ids=["negative-zero", "mixed-zeros", "nan-and-inf", "one-state", "all-constant"])
+def test_ranked_rows_constant_columns_match_per_cell_formatting(S, columns):
+    S, columns = np.array(S), np.array(columns)
+    assert cli._ranked_rows(S, columns) == _per_cell_retention(S, columns)
+
+
+_json_floats = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324]))
+_json_scalars = st.one_of(_json_floats, _json_floats.map(np.float64), st.integers(),
+                          st.booleans(), st.none(), st.text(max_size=4))
+_json_values = st.recursive(
+    st.one_of(_json_scalars, st.lists(_json_floats, max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=24)
+
+
+@given(payload=st.dictionaries(st.text(max_size=4), _json_values, max_size=5))
+@example(payload={"zeros": [-0.0, 0.0, -0.0], "mixed": [1, 2.5, True, None, "é"],
+                  "numpy": [np.float64(-0.0), 0.5], "odd": [math.nan, -math.inf, 5e-324],
+                  "empty": [[], {}, [[]]], "nested": {"rows": [[0.0, -0.0], [1e308]]}})
+@settings(max_examples=200, deadline=None)
+def test_write_json_matches_json_indent_2(payload, tmp_path_factory):
+    path = tmp_path_factory.mktemp("json") / "out.json"
+    cli._write_json(path, payload)
+    assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
+
+
+def _is_json_indent_2(path) -> bool:
+    text = path.read_text(encoding="utf-8")
+    return text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_written_json_is_jsons_own_indent_2_text(workdir):
+    written = []
+    for command in ("po-decentralized", "po-centralized", "stackelberg"):
+        out = workdir / command
+        assert run(workdir, command, "--config", workdir / "config.json",
+                   "--data", workdir / "data.csv", "--out", out) == 0
+        written += sorted(out.glob("*.json"))
+    assert len(written) == 5
+    assert all(_is_json_indent_2(path) for path in written)
+
+
+def test_allocation_json_of_a_sparse_robust_market_is_jsons_indent_2_text(tmp_path):
+    rng = np.random.default_rng(21)
+    agents = rand_agents(rng, 200, 6)
+    robust = DistortionSet(tuple(rand_distortion(rng) for _ in range(3)))
+    agents[0] = AgentSpec(agents[0].belief, robust, agents[0].endowment)
+    alloc, _ = posolver.settle(agents, solve_robust(agents).allocation, "equal")
+    payload = alloc.to_dict()
+    assert sum(not any(row) for row in payload["slopes"]) >= 3
+    cli._write_json(tmp_path / "allocation.json", payload)
+    assert _is_json_indent_2(tmp_path / "allocation.json")
 
 
 def test_po_decentralized_weights_last(workdir):
