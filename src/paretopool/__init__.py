@@ -40,7 +40,6 @@ __all__ = [
     "correlation",
     "es",
     "layer_decomposition",
-    "oracle",
     "parse_losses",
     "prelec_deductible",
     "robust_drm",

@@ -343,6 +343,12 @@ def test_sweep_repeated_grid_point_gives_identical_rows():
     assert rows[0] == rows[1]
 
 
+def test_sweep_of_an_empty_grid_has_no_rows():
+    sp, xs, base, alpha = sweep_market()
+    dist_sets = [single(d) for d in base + [Distortion.power(0.5)]]
+    assert sweep_rows(sp, xs, dist_sets, 2, [], alpha) == []
+
+
 @pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
 def test_warm_lp_refuses_another_alpha_or_endowments():
     sp, xs, ds = one_agent_instance()
@@ -492,6 +498,25 @@ def test_welfare_rejects_non_finite_premiums(bad):
     contract = hand_contract([0.7, 0.3], [0.0, 10.0], [1.0])
     with pytest.raises(DomainError, match="premiums must be finite"):
         centralized_welfare(sp, xs, ds, contract, premiums=[bad])
+
+
+def test_welfare_rejects_a_premium_count_other_than_the_agent_count():
+    sp, xs, ds = one_agent_instance()
+    contract = hand_contract([0.7, 0.3], [0.0, 10.0], [1.0])
+    with pytest.raises(ProfileMismatchError, match="one premium per agent required"):
+        centralized_welfare(sp, xs, ds, contract, premiums=[1.0, 2.0])
+
+
+def test_welfare_to_dict_writes_the_premium_split_only_when_priced():
+    sp, xs, ds = one_agent_instance()
+    contract = hand_contract([0.7, 0.3], [0.0, 10.0], [1.0])
+    priced = centralized_welfare(sp, xs, ds, contract, premiums=[3.0])
+    out = priced.to_dict(["A"])
+    assert out["policyholder_gains"] == priced.policyholder_gains.tolist()
+    assert out["insurer_gain"] == priced.insurer_gain
+    unpriced = centralized_welfare(sp, xs, ds, contract).to_dict(["A"])
+    assert unpriced == {k: v for k, v in out.items()
+                        if k not in ("policyholder_gains", "insurer_gain")}
 
 
 def test_no_insurance_contract_zero_gain():

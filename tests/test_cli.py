@@ -2,8 +2,11 @@
 
 import csv
 import json
+import logging
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -30,6 +33,7 @@ from testkit import rand_agents, rand_distortion
 
 SRC = Path(paretopool.__file__).resolve().parents[1]
 SWEEP_PANEL = Path(__file__).resolve().parent / "data" / "sweep_panel.csv"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 DATA_CSV = """dateOfLoss,state,amountPaid
 2021-01-04,CA,120
@@ -171,6 +175,8 @@ MALFORMED_NUMBERS = {
     "weights inf": (lambda c: c.update(weights=[math.inf, 1, 1]), "config.weights[0]" + _FINITE),
     "weights bool": (lambda c: c.update(weights=[True, False, True]),
                      "config.weights[0]" + _FINITE),
+    "weights scalar": (lambda c: c.update(weights=3),
+                       "config.weights: unsupported weights value 3"),
     "weights sum overflows": (lambda c: c.update(weights=[1e308, 1e308, 1]),
                               "config.weights: weight proportions must be non-negative "
                               "with a positive finite sum"),
@@ -421,13 +427,28 @@ def _is_json_indent_2(path) -> bool:
 
 
 def test_written_json_is_jsons_own_indent_2_text(workdir):
+    # Besides the base market, a peer-to-peer one where CA is robust over
+    # three candidates and FL prices with its own belief.
+    m = parse_losses(DATA_CSV)[0].month_count
+    belief = np.arange(1.0, m + 1.0) / (m * (m + 1) / 2)
+    (workdir / "belief.txt").write_text("".join(f"{w!r}\n" for w in belief.tolist()))
+    mixed = base_config()
+    mixed["agents"][0]["distortions"] = [
+        {"family": "prelec1", "params": {"alpha": 0.7}},
+        {"family": "tvar", "params": {"alpha": 0.3}},     # CA's worst case
+        {"family": "power", "params": {"gamma": 0.5}}]
+    mixed["agents"][1]["belief"] = {"weights_file": "belief.txt"}
+    (workdir / "mixed.json").write_text(json.dumps(mixed))
     written = []
-    for command in ("po-decentralized", "po-centralized", "stackelberg"):
-        out = workdir / command
-        assert run(workdir, command, "--config", workdir / "config.json",
+    for command, config in (("po-decentralized", "config.json"),
+                            ("po-decentralized", "mixed.json"),
+                            ("po-centralized", "config.json"),
+                            ("stackelberg", "config.json")):
+        out = workdir / command / config
+        assert run(workdir, command, "--config", workdir / config,
                    "--data", workdir / "data.csv", "--out", out) == 0
         written += sorted(out.glob("*.json"))
-    assert len(written) == 5
+    assert len(written) == 7
     assert all(_is_json_indent_2(path) for path in written)
 
 
@@ -929,11 +950,21 @@ def test_module_entrypoint_subprocess(workdir):
     assert (out / "summary.csv").exists()
 
 
-def _fresh_python(script: str, cwd) -> subprocess.CompletedProcess:
+@pytest.mark.parametrize("name, level", [("bogus", logging.WARNING), ("info", logging.INFO)])
+def test_log_level_from_environment(workdir, monkeypatch, name, level):
+    # A name that is no logging level falls back to WARNING; the run goes on.
+    seen = {}
+    monkeypatch.setenv("PARETOPOOL_LOG", name)
+    monkeypatch.setattr(cli.logging, "basicConfig", lambda **kwargs: seen.update(kwargs))
+    assert run(workdir, "validate-config", "--config", workdir / "config.json") == 0
+    assert seen["level"] == level
+
+
+def _fresh_python(script: str, cwd, *options: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+    return subprocess.run([sys.executable, *options, "-c", textwrap.dedent(script)],
                           cwd=cwd, capture_output=True, text=True, env=env)
 
 
@@ -956,6 +987,17 @@ def test_cli_import_does_not_load_the_test_oracle(workdir):
         import sys
         import paretopool.cli
         assert "paretopool.oracle" not in sys.modules, "import paretopool.cli loaded the oracle"
+        from paretopool import oracle
+        assert oracle is sys.modules["paretopool.oracle"]
+        """, workdir)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_star_import_does_not_load_the_test_oracle(workdir):
+    proc = _fresh_python("""
+        import sys
+        from paretopool import *
+        assert "paretopool.oracle" not in sys.modules, "from paretopool import * loaded the oracle"
         from paretopool import oracle
         assert oracle is sys.modules["paretopool.oracle"]
         """, workdir)
@@ -1111,3 +1153,42 @@ def test_highs_binding_loads_once_under_racing_threads(tmp_path):
     assert "scipy.optimize" not in sys.modules
     """, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+# -- README examples ----------------------------------------------------------
+
+
+def _readme_blocks(lang: str) -> list[str]:
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(encoding="utf-8"),
+                      re.S | re.M)
+
+
+def _only_readme_block(lang: str) -> str:
+    blocks = _readme_blocks(lang)
+    assert len(blocks) == 1, f"expected one {lang} block in README.md, found {len(blocks)}"
+    return blocks[0]
+
+
+def test_readme_json_block_passes_validate_config(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(_only_readme_block("json"), encoding="utf-8")
+    assert main(["validate-config", "--config", str(config)]) == 0
+    assert capsys.readouterr().out == "config ok\n"
+
+
+def test_readme_python_block_runs_with_warnings_as_errors(tmp_path):
+    proc = _fresh_python(_only_readme_block("python"), tmp_path, "-W", "error")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_command_lines_parse():
+    # Optional parts are unbracketed; only argparse runs, no file is opened.
+    lines = [line for block in _readme_blocks("sh") for line in block.splitlines()
+             if line.startswith("paretopool ")]
+    assert lines, "no paretopool command line in README.md"
+    for line in lines:
+        argv = shlex.split(line.replace("[", "").replace("]", ""), comments=True)[1:]
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")

@@ -266,6 +266,13 @@ def test_validate_reports_tabulated_endpoints():
         Distortion.tabulated([(0.0, 0.1), (1.0, 1.0)])
 
 
+def test_validate_rejects_short_or_non_finite_tables():
+    with pytest.raises(DomainError, match="at least two knots required"):
+        Distortion.tabulated([(0.0, 0.0)])
+    with pytest.raises(DomainError, match="knot values must be finite"):
+        Distortion.tabulated([(0.0, 0.0), (0.5, math.nan), (1.0, 1.0)])
+
+
 def test_validate_rejects_bad_knot_abscissae():
     with pytest.raises(DomainError, match="abscissae must start at 0 and end at 1"):
         Distortion("tabulated", (), ((0.0, 0.0), (0.4, 1.0)))

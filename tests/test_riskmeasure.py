@@ -82,6 +82,8 @@ def test_survival_exact_one_over_zero_weight_states():
 def test_survival_profile_mismatch():
     with pytest.raises(ProfileMismatchError):
         survival(uniform(2), [1.0, 2.0, 3.0], 0.5)
+    with pytest.raises(ProfileMismatchError, match="profile values must be finite"):
+        survival(uniform(2), [1.0, math.nan], 0.5)
 
 
 # -- choquet ------------------------------------------------------------------
@@ -196,6 +198,12 @@ def test_var_with_unequal_weights():
 
 def test_es_example():
     assert es(uniform(4), [1.0, 2.0, 3.0, 4.0], 0.5) == pytest.approx(3.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_es_level_domain(alpha):
+    with pytest.raises(DomainError):
+        es(uniform(4), [1.0, 2.0, 3.0, 4.0], alpha)
 
 
 def test_es_alpha_one_limit_is_mean():
