@@ -25,10 +25,10 @@ to the per-row loop, one holding
   label that is empty, padded or as wide as its field (loadtxt may have cut
   it), a loss that is negative or not finite.
 
-From the first declined block to the end of the file, and for the whole
-file when the header repeats a name or the loss column is the date or label
-column, the per-row loop reads the lines with ``csv.reader``, caching each
-distinct date text and label.  Rejected rows and their line numbers
+A declined block alone is read by the per-row loop, with ``csv.reader``,
+which also reads on past the block's last line to finish a quoted record;
+the next block goes back to loadtxt.  The loop caches each distinct date
+text and label for the whole parse.  Rejected rows and their line numbers
 therefore come from the loop alone: it accepts and rejects exactly what a
 per-row ``csv.DictReader`` loop would, with the same reasons and line
 numbers.  The used rows of both paths become three flat columns (month
@@ -215,13 +215,9 @@ def _agent_ids(field: np.ndarray, labels: dict[str, int]):
 
 def _read_block(block: list[str], cols, labels: dict[str, int]):
     """Month keys, agent ids and losses of a block of claim lines, parsed by
-    ``np.loadtxt``, or None where that parse is not provably the loop's.
-
-    ``cols`` are the date, label and loss columns.  The block is declined
-    if it holds a ``_LOOP_ONLY`` character or a line over the csv field
-    size limit, if loadtxt cannot read a row, or if a date, label or loss
-    is one the loop would reject or read by a rule of its own.
-    """
+    ``np.loadtxt``, or None where that parse is not provably the loop's
+    (the module docstring lists the rules); ``cols`` are the date, label
+    and loss columns."""
     text = "".join(block)
     if (any(c in text for c in _LOOP_ONLY)
             or max(map(len, block)) > csv.field_size_limit()):
@@ -242,24 +238,26 @@ def _read_block(block: list[str], cols, labels: dict[str, int]):
     return None if ids is None else (keys, ids, loss.copy())
 
 
-def _read_rows(lines, cols, labels: dict[str, int], lines_before: int):
-    """The per-row loop: month keys, agent ids, losses and rejected rows of
-    the claim lines, numbered on from ``lines_before``.
+def _read_rows(lines, count: int, cols, labels: dict[str, int], cache,
+               rejected: list[tuple[int, str]], lines_before: int):
+    """The per-row loop over the records that start in the first ``count``
+    of ``lines``, numbered on from ``lines_before``: the number of lines
+    read, more than ``count`` only to finish a quoted record, and the used
+    rows' month keys, agent ids and losses.
 
-    One pass, no row kept: month keys and agent ids are cached per raw cell
-    text, and the used rows go to three flat lists.
+    Rejected rows go to ``rejected``.  ``cache`` is the parse's pair of
+    month-key and agent-id caches, keyed by raw cell text.
     """
     reader = csv.reader(lines)
     di, ai, li = cols
     width = max(cols) + 1
-    month_of: dict[str, int] = {}
-    agent_of: dict[str, int] = {}
+    month_of, agent_of = cache
     keys: list[int] = []
     ids: list[int] = []
     losses: list[float] = []
-    rejected: list[tuple[int, str]] = []
     with _csv_errors(reader, lines_before):
-        for row in reader:
+        while reader.line_num < count:
+            row = next(reader)
             if len(row) < width:
                 if not row:
                     continue
@@ -297,7 +295,8 @@ def _read_rows(lines, cols, labels: dict[str, int], lines_before: int):
             keys.append(key)
             ids.append(agent)
             losses.append(loss)
-    return keys, ids, losses, rejected
+    return reader.line_num, (np.array(keys, dtype=np.int64), np.array(ids, dtype=np.intp),
+                             np.array(losses, dtype=float))
 
 
 def parse_losses(source, loss_column: str = DEFAULT_LOSS_COLUMN
@@ -316,10 +315,9 @@ def parse_losses(source, loss_column: str = DEFAULT_LOSS_COLUMN
     number of its last physical line.
 
     The lines after the header are read in blocks of ``_BLOCK_LINES``, each
-    parsed by ``np.loadtxt`` and the date kernel.  The per-row loop reads
-    the rest of the file from the first block that path declines (see the
-    module docstring), and all of it when the header repeats a name or the
-    loss column is the date or label column; so only the loop rejects rows.
+    parsed by ``np.loadtxt`` and the date kernel, or by the per-row loop
+    where that path declines it (see the module docstring); so only the
+    loop rejects rows.
     """
     lines = iter(_open_text(source))
     reader = csv.reader(lines)
@@ -333,32 +331,28 @@ def parse_losses(source, loss_column: str = DEFAULT_LOSS_COLUMN
     index = {name: j for j, name in enumerate(header)}
     cols = (index[DATE_COLUMN], index[AGENT_COLUMN], index[loss_column])
     labels: dict[str, int] = {}
-    parts = []
+    cache: tuple[dict[str, int], dict[str, int]] = ({}, {})
+    rejected: list[tuple[int, str]] = []
+    parts = [(np.empty(0, np.int64), np.empty(0, np.intp), np.empty(0))]
     lines_before = reader.line_num
-    # A loss column that is the date or label column would name one column
-    # twice in usecols; a repeated header name leaves DictReader's
-    # last-column rule to the loop alone.
-    use_blocks = len(index) == len(header) and len(set(cols)) == 3
-    while use_blocks:
+    while True:
         block: list[str] = []
         try:
             block.extend(itertools.islice(lines, _BLOCK_LINES))
         except (OSError, ValueError):
             # A read error, such as undecodable text, surfaces where the
             # loop would meet it: after the lines before it are read.
-            _read_rows(block, cols, labels, lines_before)
+            _read_rows(block, len(block), cols, labels, cache, rejected, lines_before)
             raise
         if not block:
             break
         part = _read_block(block, cols, labels)
+        read = len(block)
         if part is None:
-            lines = itertools.chain(block, lines)
-            break
+            read, part = _read_rows(itertools.chain(block, lines), read, cols, labels,
+                                    cache, rejected, lines_before)
         parts.append(part)
-        lines_before += len(block)
-    keys, ids, losses, rejected = _read_rows(lines, cols, labels, lines_before)
-    parts.append((np.array(keys, dtype=np.int64), np.array(ids, dtype=np.intp),
-                  np.array(losses, dtype=float)))
+        lines_before += read
     keys, ids, losses = (np.concatenate(column) for column in zip(*parts))
     # No usable rows is not a format error: rejections are reported, and an
     # empty body legitimately yields an empty panel.

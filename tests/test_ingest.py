@@ -5,6 +5,7 @@ import datetime as dt
 import io
 import math
 import re
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -278,16 +279,19 @@ def test_parse_losses_matches_dictreader_reference_generated(
 
 @contextmanager
 def _loop_lines(block_lines=None):
-    """Collect the lines the per-row loop reads, with blocks of
+    """Collect the lines the per-row loop pulls, with blocks of
     ``block_lines`` lines if given: an empty list means that numpy's block
     path read every line after the header."""
     seen = []
     real, size = ingest._read_rows, ingest._BLOCK_LINES
 
+    def tee(lines):
+        for line in lines:
+            seen.append(line)
+            yield line
+
     def spy(lines, *args):
-        lines = list(lines)
-        seen.extend(lines)
-        return real(lines, *args)
+        return real(tee(lines), *args)
 
     ingest._read_rows, ingest._BLOCK_LINES = spy, block_lines or size
     try:
@@ -304,15 +308,9 @@ _CLEAN_LOSSES = st.one_of(st.integers(0, 10 ** 12).map(str),
                           st.floats(0.0, 1e300).map(repr))
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data(),
-       order=st.permutations(_COLUMNS),
-       first_year=st.sampled_from([1, 1896, 1899, 1999, 2023, 9996]),
-       block_lines=st.integers(1, 9),
-       final_newline=st.booleans())
-def test_clean_claims_take_the_block_path(data, order, first_year, block_lines,
-                                          final_newline):
+def _clean_lines(data, order, first_year):
+    """A header and up to 40 drawn claim lines, without line endings, that
+    numpy's block path reads."""
     # Four years of dates, so that the panel stays small.
     dates = st.builds(lambda day, suffix: day.isoformat() + suffix,
                       st.dates(dt.date(first_year, 1, 1), dt.date(first_year + 3, 12, 31)),
@@ -326,13 +324,27 @@ def test_clean_claims_take_the_block_path(data, order, first_year, block_lines,
             continue
         value = dict(zip(("dateOfLoss", "state", "amountPaid"), row), other="o")
         lines.append(",".join(value[name] for name in order))
+    return lines
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(),
+       order=st.permutations(_COLUMNS),
+       first_year=st.sampled_from([1, 1896, 1899, 1999, 2023, 9996]),
+       block_lines=st.integers(1, 9),
+       final_newline=st.booleans())
+def test_clean_claims_take_the_block_path(data, order, first_year, block_lines,
+                                          final_newline):
+    lines = _clean_lines(data, order, first_year)
     text = "\n".join(lines) + ("\n" if final_newline else "")
     with _loop_lines(block_lines) as seen:
         _assert_matches_reference(text)
     assert seen == []
 
 
-_CLEAN = "dateOfLoss,state,amountPaid\n2020-01-05,CA,1\n"
+_HEAD = "dateOfLoss,state,amountPaid\n"
+_CLEAN = _HEAD + "2020-01-05,CA,1\n"
 # One case per rule that sends a block to the loop.
 DECLINE_CASES = {
     "quote": _CLEAN + '2020-01-06,"TX",2\n',
@@ -342,7 +354,6 @@ DECLINE_CASES = {
     "short row": _CLEAN + "2020-01-06,TX\n",
     "label as wide as its field": _CLEAN + "2020-01-06," + "T" * 16 + ",2\n",
     "label wider than its field": _CLEAN + "2020-01-06," + "T" * 17 + ",2\n",
-    "duplicated header name": "state,dateOfLoss,amountPaid,state\nXX,2020-01-05,1,CA\n",
     "padded label": _CLEAN + "2020-01-06,TX\u00a0,2\n",
     "empty loss": _CLEAN + "2020-01-06,TX,\n",
     "loss float() reads and loadtxt does not": _CLEAN + "2020-01-06,TX,1_000\n",
@@ -366,6 +377,33 @@ def test_declined_block_is_read_by_the_loop(case):
     with _loop_lines() as seen:
         _assert_matches_reference(DECLINE_CASES[case])
     assert seen == _body(DECLINE_CASES[case])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(),
+       case=st.sampled_from(sorted(DECLINE_CASES)),
+       block_lines=st.integers(1, 9),
+       final_newline=st.booleans())
+def test_a_declined_block_alone_is_read_by_the_loop(data, case, block_lines, final_newline):
+    # The cases are dated 2020, inside the clean dates' four years.
+    lines = _clean_lines(data, _COLUMNS[:3], 2018)
+    at = data.draw(st.integers(1, len(lines)))
+    # The case's first line is the one that declines its block.
+    lines[at:at] = DECLINE_CASES[case][len(_CLEAN):].rstrip("\n").split("\n")
+    text = "\n".join(lines) + ("\n" if final_newline else "")
+    first = (at - 1) // block_lines * block_lines
+    with _loop_lines(block_lines) as seen:
+        _assert_matches_reference(text)
+    assert seen == _body(text)[first:first + block_lines]
+
+
+def test_duplicated_header_name_takes_the_block_path():
+    # ``index`` maps a repeated name to its last column, as DictReader does.
+    text = "state,dateOfLoss,amountPaid,state\nXX,2020-01-05,1,CA\n"
+    with _loop_lines() as seen:
+        _assert_matches_reference(text)
+    assert seen == []
 
 
 @pytest.mark.parametrize("block_path", [True, False])
@@ -408,33 +446,93 @@ def test_field_size_limit_is_read_at_call_time(cell, error):
                 _assert_matches_reference(text)
     finally:
         csv.field_size_limit(old)
-    assert seen == _body(text)
+    assert seen == _body(text)[:2 if error else None]
 
 
-# Read in blocks of four lines; the loop takes over at the given line.
+_CLEAN_BLOCK = "2020-01-05,CA,1\n" * 4
+# Clean lines after the last declined block, which numpy reads.
+_TAIL = "2020-04-01,CA,1\n" * 8
+# Read in blocks of four lines; the loop reads the given physical lines:
+# the declined blocks and the rest of a quoted record that runs past one.
 BOUNDARY_CASES = {
     "decline in the second block": (
-        "dateOfLoss,state,amountPaid\n" + "2020-01-05,CA,1\n" * 4
-        + '2020-02-05,TX,2\nbad,TX,3\n2020-03-05,"T\nX",4\n2020-03-06,,5\n', 6),
+        _HEAD + _CLEAN_BLOCK
+        + '2020-02-05,TX,2\nbad,TX,3\n2020-03-05,"T\nX",4\n2020-03-06,,5\n' + _TAIL,
+        range(6, 14)),
     "rejected row on the last line of a block": (
-        "dateOfLoss,state,amountPaid\n" + "2020-01-05,CA,1\n" * 4
-        + "2020-02-05,TX,2\n" * 3 + "2020-02-30,TX,2\n2020-03-05,TX,-1\n", 6),
+        _HEAD + _CLEAN_BLOCK
+        + "2020-02-05,TX,2\n" * 3 + "2020-02-30,TX,2\n2020-03-05,TX,-1\n" + _TAIL,
+        range(6, 14)),
     "quoted field right after a clean block": (
-        "dateOfLoss,state,amountPaid\n2020-01-05,CA,1\n\n2020-01-06,CA,2\n2020-01-07,CA,3\n"
-        '"2020-\n02-05",TX,2\n2020-02-06,TX,x\n2020-02-07,"",1\n', 6),
+        _HEAD + "2020-01-05,CA,1\n\n2020-01-06,CA,2\n2020-01-07,CA,3\n"
+        '"2020-\n02-05",TX,2\n2020-02-06,TX,x\n2020-02-07,"",1\n' + _TAIL,
+        range(6, 10)),
     "header over two lines": (
         'dateOfLoss,state,amountPaid,"a\nnote"\n' + "2020-01-05,CA,1,n\n" * 4
-        + "2020-01-06,CA,1\n2020-01-07, CA,2\n2020-13-01,CA,3\n", 7),
+        + "2020-01-06,CA,1\n2020-01-07, CA,2\n2020-13-01,CA,3\n" + _TAIL,
+        range(7, 11)),
+    "declined block between clean ones": (
+        _HEAD + _CLEAN_BLOCK
+        + "2020-02-05,TX,2\n2020-02-06,TX,2\nbad,TX,3\n2020-02-07,TX,2\n" + _CLEAN_BLOCK,
+        range(6, 10)),
+    "quoted record past a declined block's end": (
+        _HEAD + _CLEAN_BLOCK
+        + '2020-02-05,TX,2\n2020-02-06,TX,x\n2020-02-07,TX,2\n2020-02-08,"T\nX\n",2\n'
+        + _CLEAN_BLOCK + "2020-04-05,TX,-1\n",
+        [*range(6, 12), 16]),
+    "rejected rows in the second and fourth blocks": (
+        _HEAD + _CLEAN_BLOCK
+        + "2020-02-05,TX,2\n2020-02-30,TX,2\n2020-02-06,TX,2\n2020-02-07,TX,2\n"
+        + _CLEAN_BLOCK
+        + "2020-04-05,TX,2\n2020-04-06,,2\n2020-04-07,TX,2\n2020-04-08,TX,-5\n",
+        [*range(6, 10), *range(14, 18)]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
 def test_block_boundaries_keep_line_numbers(case):
-    text, first_loop_line = BOUNDARY_CASES[case]
+    text, loop_lines = BOUNDARY_CASES[case]
     with _loop_lines(4) as seen:
         _assert_matches_reference(text)
-    assert seen == _body(text)[first_loop_line - 2:]
+    lines = io.StringIO(text).readlines()
+    assert seen == [lines[i - 1] for i in loop_lines]
     assert parse_losses(text)[1].rejected
+
+
+def test_each_distinct_date_text_is_parsed_once_per_file(monkeypatch):
+    # Carriage returns decline every block, so the loop reads all eight.
+    dates = ["2020-01-05", "2020-01-06", " 2020-01-06", "bad"]
+    text = "dateOfLoss,state,amountPaid\r\n" + "".join(
+        f"{dates[i % 4]},CA,{i}\r\n" for i in range(32))
+    calls = []
+    real = ingest._month_key
+    monkeypatch.setattr(ingest, "_month_key", lambda raw: calls.append(raw) or real(raw))
+    with _loop_lines(4) as seen:
+        _assert_matches_reference(text)
+    assert seen == _body(text)
+    assert sorted(calls) == sorted(dates)
+
+
+def test_a_declined_block_costs_no_more_memory_than_a_clean_one(monkeypatch):
+    monkeypatch.setattr(ingest, "_BLOCK_LINES", 1024)
+    rng = np.random.default_rng(7)
+    rows = [f"{1990 + k // 12:04d}-{k % 12 + 1:02d}-15,S{j:02d},{x:.2f}\n"
+            for k, j, x in zip(rng.integers(0, 240, 60000).tolist(),
+                               rng.integers(0, 12, 60000).tolist(),
+                               (rng.pareto(1.5, 60000) * 1000.0).tolist())]
+
+    def peak(first_loss):
+        first = rows[0].rsplit(",", 1)[0] + f",{first_loss}\n"
+        stream = io.StringIO(_HEAD + first + "".join(rows[1:]))
+        tracemalloc.start()
+        try:
+            parse_losses(stream)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # An empty loss cell on line 2 declines the first block.
+    assert peak("") <= 1.2 * peak("1")
 
 
 def test_mid_size_claims_equal_the_loop_exactly():
