@@ -84,14 +84,21 @@ def _highs_binding():
 class _HighsModel:
     """A live HiGHS model and the problem data it holds.
 
-    ``problem`` is everything a warm start must leave unchanged: costs,
-    matrix, row bounds and column lower bounds.  ``upper`` tracks the
-    column upper bounds now in the model.
+    ``given`` is the cold call's cost, A_ub, b_ub, A_eq and b_eq, the very
+    objects a warm call must pass again.  ``problem`` is what HiGHS was
+    given: costs, the column-wise matrix, row bounds and column lower
+    bounds.  ``upper`` tracks the column upper bounds now in the model, and
+    ``restarted`` whether a warm solve has restarted it under Devex pricing.
+    ``measure`` is the :class:`_MeasureLP` that :func:`solve_measure_lp`
+    built this model from.
     """
 
     highs: object
+    given: tuple
     problem: tuple
     upper: np.ndarray
+    restarted: bool = False
+    measure: _MeasureLP | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +145,12 @@ class _Linprog:
     no call imports ``scipy.optimize``.  ``warm=model`` re-solves that model
     after pushing in the changed column upper bounds only: a bound change keeps
     the last optimal basis dual feasible, so the dual simplex restarts from
-    it in a few pivots.  Any other change raises :class:`DomainError`.
+    it in a few pivots.  A warm call passes the very cost, A_ub, b_ub, A_eq
+    and b_eq objects of the model's cold call, which are compared by
+    identity, not rebuilt, and the same column lower bounds; otherwise it
+    raises :class:`DomainError`.  A model's first warm solve restarts
+    HiGHS from the cold solve's basis under Devex dual pricing, which the
+    model then keeps; the cold solve keeps scipy's options.
 
     An instance, not a function: a tracer that wraps every public function
     of this module and also ``linprog`` (``perfbench/tracer.py``) would
@@ -150,15 +162,15 @@ class _Linprog:
         highspy = _highs_binding()
         inf = highspy.kHighsInf
         n_ub = len(b_ub)
-        shape = (A_ub.shape[0] + A_eq.shape[0], A_ub.shape[1])
-        indptr, indices, data = _colwise(A_ub, A_eq)
-        lhs = np.concatenate([np.full(n_ub, -inf), b_eq])
-        rhs = np.concatenate([b_ub, b_eq])
         lower, upper = np.clip(np.asarray(bounds, dtype=float).T, -inf, inf)
-        cost = np.asarray(c, dtype=float)
-        problem = (cost, indptr, indices, data, lhs, rhs, lower)
         if warm is None:
-            model = _HighsModel(highspy._Highs(), problem, upper)
+            shape = (A_ub.shape[0] + A_eq.shape[0], A_ub.shape[1])
+            indptr, indices, data = _colwise(A_ub, A_eq)
+            lhs = np.concatenate([np.full(n_ub, -inf), b_eq])
+            rhs = np.concatenate([b_ub, b_eq])
+            cost = np.asarray(c, dtype=float)
+            model = _HighsModel(highspy._Highs(), (c, A_ub, b_ub, A_eq, b_eq),
+                                (cost, indptr, indices, data, lhs, rhs, lower), upper)
             for key, value in _HIGHS_OPTIONS:
                 model.highs.setOptionValue(key, value)
             lp = highspy.HighsLp()
@@ -173,13 +185,23 @@ class _Linprog:
                 raise SolverError("HiGHS refused the LP")
         else:
             model = warm
-            if not all(np.array_equal(a, b) for a, b in zip(problem, model.problem)):
+            if (any(a is not b for a, b in zip((c, A_ub, b_ub, A_eq, b_eq), model.given))
+                    or not np.array_equal(lower, model.problem[6])):
                 raise DomainError("a warm LP solve may change column upper bounds only")
+            if not model.restarted:
+                # Restart from the cold basis under Devex pricing: exact dual
+                # steepest-edge weights for that basis would cost HiGHS
+                # several times the re-solve itself.
+                basis = model.highs.getBasis()
+                model.highs.clearSolver()
+                model.highs.setBasis(basis)
+                model.highs.setOptionValue("simplex_dual_edge_weight_strategy", 1)
+                model.restarted = True
             changed = np.flatnonzero(upper != model.upper)
             model.highs.changeColsBounds(changed.size, changed, lower[changed],
                                          upper[changed])
             model.upper = upper
-        highs = model.highs
+        highs, rhs = model.highs, model.problem[5]
         run = highs.run()
         status = highs.getModelStatus()
         if run == highspy.HighsStatus.kError or status != highspy.HighsModelStatus.kOptimal:
@@ -230,7 +252,7 @@ class CentralizedContract:
     the cession fraction the measure LP's dual gives that layer.  ``value``
     is the LP optimum.  ``model`` is the live HiGHS model of the solve
     (None when there was no LP); a warm solve from this contract moves it
-    on to the new problem.
+    on to the new problem, so every contract of one warm chain shares it.
     """
 
     alpha: float
@@ -281,6 +303,75 @@ class CentralizedContract:
         }
 
 
+@dataclass(eq=False)
+class _MeasureLP:
+    """The measure LP as a cold :func:`solve_measure_lp` built it, kept on
+    its live model so that a warm solve neither rebuilds nor compares it.
+
+    Per agent: the layer ``breakpoints``, the reference survival ``tails``
+    Q(X_i > b_k) and the caps ``nus``, the distortion of those tails under
+    ``distortions``, which are those of the model's latest solve.  ``lens``
+    holds every layer length and ``first`` each agent's first layer.  A warm
+    solve is checked against ``alpha``, ``weights`` and the endowments
+    ``xs``; ``cost`` to ``lower`` are :data:`linprog`'s arguments but the
+    upper bounds.
+    """
+
+    alpha: float
+    weights: np.ndarray
+    xs: list
+    breakpoints: list
+    tails: list
+    lens: np.ndarray
+    first: np.ndarray
+    cost: np.ndarray
+    a_ub: _Coo
+    b_ub: np.ndarray
+    a_eq: _Coo
+    b_eq: np.ndarray
+    lower: np.ndarray
+    distortions: list
+    nus: list
+
+
+def _build_measure_lp(space: EmpiricalSpace, xs, alpha: float) -> _MeasureLP:
+    """Everything of the measure LP but the caps nu, which the distortions set.
+
+    Equality row first_i + k: R_ik - R_i,k+1 - q(X_i = b_k+1) = 0, without
+    R_i,k+1 on agent i's top layer; row n_aux: sum q = 1.
+    """
+    n_states = space.state_count
+    bps_all, tails_all, levels = [], [], []
+    for X in xs:
+        bps, tails = _layer_table(X, [space.weights], origin=True)
+        bps_all.append(bps)
+        tails_all.append(tails[0, :-1])
+        # State s sits on breakpoint level[s]: it lies in {X > b_k} iff k < level.
+        levels.append(np.searchsorted(bps, X))
+    lens_all = [np.diff(bps) for bps in bps_all]
+    lens = np.concatenate(lens_all)
+    n_aux = lens.size
+    first = np.cumsum([0] + [v.size for v in lens_all])[:-1]
+    layer = np.arange(n_aux)
+    inner = np.setdiff1d(layer[:-1], first - 1)
+    r_col = n_states + layer
+    q_rows = np.concatenate([start + lv[lv > 0] - 1 for start, lv in zip(first, levels)])
+    q_cols = np.concatenate([np.flatnonzero(lv) for lv in levels])
+    n_cols = n_states + 2 * n_aux
+    a_eq = _Coo(np.repeat([1.0, -1.0, 1.0], [n_aux, inner.size + q_rows.size, n_states]),
+                np.concatenate([layer, inner, q_rows, np.full(n_states, n_aux)]),
+                np.concatenate([r_col, r_col[inner] + 1, q_cols, np.arange(n_states)]),
+                (n_aux + 1, n_cols))
+    a_ub = _Coo(np.repeat([1.0, -1.0], n_aux), np.tile(layer, 2),
+                np.concatenate([r_col + n_aux, r_col]), (n_aux, n_cols))
+    # R is free, not >= 0 (its chain sums q's): it stays basic, for fewer pivots.
+    lower = np.repeat([0.0, -np.inf, 0.0], [n_states, n_aux, n_aux])
+    return _MeasureLP(alpha, space.weights, [X.copy() for X in xs], bps_all, tails_all,
+                      lens, first, np.concatenate([np.zeros(n_states + n_aux), -lens]),
+                      a_ub, np.zeros(n_aux), a_eq, np.append(np.zeros(n_aux), 1.0), lower,
+                      [None] * len(xs), [None] * len(xs))
+
+
 def solve_measure_lp(space: EmpiricalSpace, endowments, distortions, alpha: float,
                      warm: CentralizedContract | None = None) -> CentralizedContract:
     """Solve the layered measure problem on nested exceedance rows and
@@ -300,22 +391,27 @@ def solve_measure_lp(space: EmpiricalSpace, endowments, distortions, alpha: floa
 
     The distortions enter only as the aux columns' caps nu.  ``warm``, an
     earlier contract of the same space, endowments and alpha, re-solves its
-    live HiGHS model with the new caps from its optimal basis (that model
-    then holds this solve); any other difference raises DomainError.
+    live HiGHS model from its optimal basis without building the LP again:
+    alpha, the space's weights and the endowments are checked against the
+    model, which raises DomainError when any differs, and nu is evaluated
+    again only for the agents whose distortion differs from the model's
+    latest solve.  That model then holds this solve.
     """
     xs, alpha = _check_inputs(space, endowments, distortions, alpha)
-    n_states = space.state_count
-    bps_all, lens_all, nus_all, levels = [], [], [], []
-    for X, d in zip(xs, distortions):
-        bps, tails = _layer_table(X, [space.weights], origin=True)
-        bps_all.append(bps)
-        lens_all.append(np.diff(bps))
-        nus_all.append(d(tails[0, :-1]))
-        # State s sits on breakpoint level[s]: it lies in {X > b_k} iff k < level.
-        levels.append(np.searchsorted(bps, X))
-    lens, nus = np.concatenate(lens_all), np.concatenate(nus_all)
-    n_aux = lens.size
-    first = np.cumsum([0] + [v.size for v in lens_all])[:-1]
+    if warm is None:
+        lp = _build_measure_lp(space, xs, alpha)
+    else:
+        lp = None if warm.model is None else warm.model.measure
+        if lp is None or alpha != lp.alpha or not np.array_equal(space.weights, lp.weights):
+            raise DomainError("a warm measure LP needs a solved LP of the same "
+                              "space, endowments and alpha")
+        if len(xs) != len(lp.xs) or not all(map(np.array_equal, xs, lp.xs)):
+            raise DomainError("a warm measure LP needs the same endowments: a warm "
+                              "LP solve may change column upper bounds only")
+    for i, d in enumerate(distortions):
+        if d != lp.distortions[i]:
+            lp.distortions[i], lp.nus[i] = d, d(lp.tails[i])
+    n_states, n_aux = space.state_count, lp.lens.size
     caps = space.weights / alpha
 
     if n_aux == 0:
@@ -324,47 +420,30 @@ def solve_measure_lp(space: EmpiricalSpace, endowments, distortions, alpha: floa
         q *= 1.0 / q.sum()
         value, fractions, model = 0.0, np.zeros(0), None
     else:
-        # Equality row first_i + k: R_ik - R_i,k+1 - q(X_i = b_k+1) = 0, without
-        # R_i,k+1 on agent i's top layer; row n_aux: sum q = 1.
-        layer = np.arange(n_aux)
-        inner = np.setdiff1d(layer[:-1], first - 1)
-        r_col = n_states + layer
-        q_rows = np.concatenate([start + lv[lv > 0] - 1 for start, lv in zip(first, levels)])
-        q_cols = np.concatenate([np.flatnonzero(lv) for lv in levels])
-        n_cols = n_states + 2 * n_aux
-        a_eq = _Coo(np.repeat([1.0, -1.0, 1.0], [n_aux, inner.size + q_rows.size, n_states]),
-                    np.concatenate([layer, inner, q_rows, np.full(n_states, n_aux)]),
-                    np.concatenate([r_col, r_col[inner] + 1, q_cols, np.arange(n_states)]),
-                    (n_aux + 1, n_cols))
-        a_ub = _Coo(np.repeat([1.0, -1.0], n_aux), np.tile(layer, 2),
-                    np.concatenate([r_col + n_aux, r_col]), (n_aux, n_cols))
-        cost = np.concatenate([np.zeros(n_states + n_aux), -lens])
-        # R is free, not >= 0 (its chain sums q's): it stays basic, for fewer pivots.
-        bounds = np.column_stack([np.repeat([0.0, -np.inf, 0.0], [n_states, n_aux, n_aux]),
-                                  np.concatenate([caps, np.full(n_aux, np.inf), nus])])
-        args = dict(A_ub=a_ub, b_ub=np.zeros(n_aux), A_eq=a_eq,
-                    b_eq=np.append(np.zeros(n_aux), 1.0), bounds=bounds)
+        upper = np.concatenate([caps, np.full(n_aux, np.inf)] + lp.nus)
+        args = dict(A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                    bounds=np.column_stack([lp.lower, upper]))
         if warm is not None:
-            if warm.model is None or not np.array_equal(warm.model.upper[:n_states], caps):
-                raise DomainError("a warm measure LP needs a solved LP of the same "
-                                  "space, endowments and alpha")
             args["warm"] = warm.model
-        res = linprog(cost, **args)
+        res = linprog(lp.cost, **args)
         log.debug("measure LP solved: %d states, %d layers, %d rows, %d columns, "
                   "%d nonzeros, HiGHS status %d, %s start, %d iterations, value %.6g",
-                  n_states, n_aux, a_ub.shape[0] + a_eq.shape[0], n_cols,
-                  a_ub.nnz + a_eq.nnz, res.status, "cold" if warm is None else "warm",
+                  n_states, n_aux, lp.a_ub.shape[0] + lp.a_eq.shape[0], upper.size,
+                  lp.a_ub.nnz + lp.a_eq.nnz, res.status, "cold" if warm is None else "warm",
                   res.nit, -res.fun)
         q, value, model = res.x[:n_states].copy(), float(-res.fun), getattr(res, "model", None)
-        fractions = np.clip(-res.ineqlin.marginals / lens, 0.0, 1.0)
+        if model is not None:
+            model.measure = lp
+        fractions = np.clip(-res.ineqlin.marginals / lp.lens, 0.0, 1.0)
 
     slopes = []
-    for X, bps, nu, on_tie in zip(xs, bps_all, nus_all, np.split(fractions, first[1:])):
+    for X, bps, nu, on_tie in zip(xs, lp.breakpoints, lp.nus, np.split(fractions, lp.first[1:])):
         # Q*(X_i > b_k) as raw sums: neither clipped nor pinned.
         qv = _layer_table(X, [q], origin=True, pin=False)[1][0, :-1]
         slopes.append(np.where(qv < nu - TIE_BAND, 1.0,
                                np.where(qv > nu + TIE_BAND, 0.0, on_tie)))
-    contract = CentralizedContract(alpha, q, value, tuple(bps_all), tuple(slopes), model)
+    contract = CentralizedContract(alpha, q, value, tuple(lp.breakpoints), tuple(slopes),
+                                  model)
     if contract.cedes_nothing():
         warnings.warn("centralized contract cedes nothing to the insurer",
                       NoCessionWarning, stacklevel=2)

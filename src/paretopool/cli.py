@@ -419,9 +419,11 @@ def sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha):
     The swept agent's distortion is replaced by power(gamma) at each grid
     value; every agent must carry a single distortion and the shared
     reference measure.  The peer-to-peer solves run in grid order on one
-    worker thread while this thread solves the measure LPs, each warm from
-    the one before, and the centralized welfare; the rows come back in grid
-    order.
+    worker thread while this thread solves the measure LPs and the
+    centralized welfare; the rows come back in grid order.  The first grid
+    point builds the measure LP; each later one is warm from the one
+    before, so it evaluates only the swept agent's caps again and re-solves
+    the same live HiGHS model from its last basis.
     """
     for i, ds in enumerate(dist_sets):
         if len(ds) != 1:

@@ -364,6 +364,135 @@ def test_warm_lp_refuses_another_alpha_or_endowments():
     assert warm.value == pytest.approx(10 * 0.5 ** 0.8, abs=1e-9)
 
 
+def test_highs_binding_has_every_name_the_warm_restart_uses():
+    # A scipy whose binding lacks one of these fails here, not mid-sweep.
+    highs = centralized._highs_binding()._Highs
+    for name in ("getBasis", "setBasis", "clearSolver", "setOptionValue", "getOptionValue"):
+        assert hasattr(highs, name), name
+
+
+def test_warm_linprog_takes_the_cold_calls_arrays_and_new_upper_bounds_only():
+    # max x + 2y + 3z subject to x + y <= 1, y + z <= 1, x + z <= 1.5.
+    a_ub = sparse.coo_array(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]))
+    args = dict(A_ub=a_ub, b_ub=np.array([1.0, 1.0, 1.5]), A_eq=sparse.coo_array((0, 3)),
+                b_eq=np.zeros(0))
+    c = np.array([-1.0, -2.0, -3.0])
+    res = centralized.linprog(c, bounds=np.array([[0.0, 1.0]] * 3), **args)
+    # z <= 0.5: the optimum moves to (0.5, 0.5, 0.5).
+    warm = centralized.linprog(c, bounds=np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 0.5]]),
+                               warm=res.model, **args)
+    assert warm.model is res.model
+    assert warm.fun == pytest.approx(-3.0)
+    with pytest.raises(DomainError, match="column upper bounds only"):
+        centralized.linprog(c, bounds=np.array([[0.0, 1.0]] * 3), warm=res.model,
+                            **dict(args, A_ub=sparse.coo_array(a_ub.toarray())))
+    with pytest.raises(DomainError, match="column upper bounds only"):
+        centralized.linprog(c, bounds=np.array([[0.1, 1.0]] * 3), warm=res.model, **args)
+
+
+GRID = (0.3, 0.4, 0.5, 0.6, 0.65, 0.7)
+DEVEX = ("simplex_dual_edge_weight_strategy", 1)
+
+
+def highs_options(highs):
+    """Every HiGHS option of a model, by name."""
+    names = [n for n in dir(centralized._highs_binding().HighsOptions) if not n.startswith("_")]
+    return {name: highs.getOptionValue(name)[1] for name in names}
+
+
+def warm_and_cold(sp, xs, ds, alpha, warm):
+    """A warm solve from ``warm`` and a cold one, which must agree."""
+    lp = solve_measure_lp(sp, xs, ds, alpha, warm=warm)
+    cold = solve_measure_lp(sp, xs, ds, alpha)
+    assert lp.model is warm.model
+    assert lp.value == pytest.approx(cold.value, rel=1e-9, abs=1e-12)
+    gains = [centralized_welfare(sp, xs, ds, r).aggregate_gain for r in (lp, cold)]
+    assert gains[0] == pytest.approx(gains[1], rel=1e-9, abs=1e-9)
+    return lp, cold
+
+
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
+def test_sweep_builds_the_measure_lp_once(monkeypatch):
+    sp, xs, base, alpha = sweep_market()
+    builds, warms = [], []
+    colwise, solve = centralized._colwise, centralized.linprog
+
+    def build_spy(*args):
+        builds.append(args)
+        return colwise(*args)
+
+    def solve_spy(*args, **kwargs):
+        warms.append(kwargs.get("warm"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(centralized, "_colwise", build_spy)
+    monkeypatch.setattr(centralized, "linprog", solve_spy)
+    dist_sets = [single(d) for d in base + [Distortion.power(0.5)]]
+    assert len(sweep_rows(sp, xs, dist_sets, 2, list(GRID), alpha)) == len(GRID)
+    assert len(builds) == 1
+    # Every grid point still solves through centralized.linprog, the later
+    # ones warm on the first one's model.
+    assert len(warms) == len(GRID) and warms[0] is None
+    assert isinstance(warms[1], centralized._HighsModel)
+    assert all(w is warms[1] for w in warms[1:])
+
+
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
+def test_warm_lp_evaluates_only_the_changed_caps(monkeypatch):
+    sp, xs, base, alpha = sweep_market()
+    lp = solve_measure_lp(sp, xs, base + [Distortion.power(0.3)], alpha)
+    seen, evaluate = [], Distortion.__call__
+
+    def spy(d, t):
+        seen.append(d)
+        return evaluate(d, t)
+
+    monkeypatch.setattr(Distortion, "__call__", spy)
+    lp = solve_measure_lp(sp, xs, base + [Distortion.power(0.5)], alpha, warm=lp)
+    assert seen == [Distortion.power(0.5)]
+    seen.clear()
+    solve_measure_lp(sp, xs, [Distortion.power(0.9), base[1], Distortion.power(0.5)], alpha,
+                     warm=lp)
+    assert seen == [Distortion.power(0.9)]
+
+
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
+def test_warm_lp_matches_cold_in_any_grid_order():
+    rng = np.random.default_rng(53)
+    markets = [sweep_market()]
+    for _ in range(8):
+        n_states, n_agents = int(rng.integers(3, 30)), int(rng.integers(1, 4))
+        markets.append((rand_space(rng, n_states),
+                        [rand_losses(rng, n_states, scale=8.0) for _ in range(n_agents + 1)],
+                        [rand_distortion(rng) for _ in range(n_agents)],
+                        float(rng.uniform(0.08, 0.9))))
+    fresh = centralized._highs_binding()._Highs()
+    for key, value in centralized._HIGHS_OPTIONS:
+        fresh.setOptionValue(key, value)
+    for sp, xs, base, alpha in markets:
+        for order in (GRID[::-1], tuple(rng.permutation(GRID))):
+            lp = solve_measure_lp(sp, xs, base + [Distortion.power(order[0])], alpha)
+            for gamma in order[1:]:
+                lp, cold = warm_and_cold(sp, xs, base + [Distortion.power(gamma)], alpha, lp)
+                # A warm solve prices by Devex; a cold one keeps scipy's options.
+                assert lp.model.highs.getOptionValue(DEVEX[0])[1] == DEVEX[1]
+                assert highs_options(cold.model.highs) == highs_options(fresh)
+
+
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
+def test_warm_lp_from_an_older_contract_follows_the_model():
+    # Contracts of one chain share its model, which holds the caps of the
+    # latest solve, not those of the contract a solve starts from.
+    sp, xs, base, alpha = sweep_market()
+    old = solve_measure_lp(sp, xs, base + [Distortion.power(0.3)], alpha)
+    new = solve_measure_lp(sp, xs, base + [Distortion.power(0.7)], alpha, warm=old)
+    for gamma in (0.3, 0.5, 0.3, 0.7):
+        warm_and_cold(sp, xs, base + [Distortion.power(gamma)], alpha, old)
+    warm_and_cold(sp, xs, [Distortion.power(0.9)] + base[1:] + [Distortion.power(0.5)], alpha,
+                  new)
+    warm_and_cold(sp, xs, base + [Distortion.power(0.5)], alpha, old)
+
+
 # -- indemnity case logic -----------------------------------------------------
 
 
