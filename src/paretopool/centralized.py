@@ -28,8 +28,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DomainError, NoCessionWarning, ProfileMismatchError, SolverError
-from .riskmeasure import (EmpiricalSpace, _layer_function, _layer_table,
-                          as_profile, choquet, es)
+from .riskmeasure import (EmpiricalSpace, _layer_function, _layer_table, _tails,
+                          as_profile, es)
 
 log = logging.getLogger(__name__)
 
@@ -308,7 +308,8 @@ class _MeasureLP:
     """The measure LP as a cold :func:`solve_measure_lp` built it, kept on
     its live model so that a warm solve neither rebuilds nor compares it.
 
-    Per agent: the layer ``breakpoints``, the reference survival ``tails``
+    Per agent: the layer ``breakpoints``, each state's ``levels`` (the number
+    of breakpoints below X_i there), the reference survival ``tails``
     Q(X_i > b_k) and the caps ``nus``, the distortion of those tails under
     ``distortions``, which are those of the model's latest solve.  ``lens``
     holds every layer length and ``first`` each agent's first layer.  A warm
@@ -321,6 +322,7 @@ class _MeasureLP:
     weights: np.ndarray
     xs: list
     breakpoints: list
+    levels: list
     tails: list
     lens: np.ndarray
     first: np.ndarray
@@ -366,8 +368,8 @@ def _build_measure_lp(space: EmpiricalSpace, xs, alpha: float) -> _MeasureLP:
                 np.concatenate([r_col + n_aux, r_col]), (n_aux, n_cols))
     # R is free, not >= 0 (its chain sums q's): it stays basic, for fewer pivots.
     lower = np.repeat([0.0, -np.inf, 0.0], [n_states, n_aux, n_aux])
-    return _MeasureLP(alpha, space.weights, [X.copy() for X in xs], bps_all, tails_all,
-                      lens, first, np.concatenate([np.zeros(n_states + n_aux), -lens]),
+    return _MeasureLP(alpha, space.weights, [X.copy() for X in xs], bps_all, levels,
+                      tails_all, lens, first, np.concatenate([np.zeros(n_states + n_aux), -lens]),
                       a_ub, np.zeros(n_aux), a_eq, np.append(np.zeros(n_aux), 1.0), lower,
                       [None] * len(xs), [None] * len(xs))
 
@@ -395,7 +397,9 @@ def solve_measure_lp(space: EmpiricalSpace, endowments, distortions, alpha: floa
     alpha, the space's weights and the endowments are checked against the
     model, which raises DomainError when any differs, and nu is evaluated
     again only for the agents whose distortion differs from the model's
-    latest solve.  That model then holds this solve.
+    latest solve.  That model then holds this solve.  No solve sorts to
+    read Q*(X_i > b_k): the suffix sums of :func:`_tails` run on the state
+    levels the cold build kept.
     """
     xs, alpha = _check_inputs(space, endowments, distortions, alpha)
     if warm is None:
@@ -437,9 +441,10 @@ def solve_measure_lp(space: EmpiricalSpace, endowments, distortions, alpha: floa
         fractions = np.clip(-res.ineqlin.marginals / lp.lens, 0.0, 1.0)
 
     slopes = []
-    for X, bps, nu, on_tie in zip(xs, lp.breakpoints, lp.nus, np.split(fractions, lp.first[1:])):
+    for bps, level, nu, on_tie in zip(lp.breakpoints, lp.levels, lp.nus,
+                                      np.split(fractions, lp.first[1:])):
         # Q*(X_i > b_k) as raw sums: neither clipped nor pinned.
-        qv = _layer_table(X, [q], origin=True, pin=False)[1][0, :-1]
+        qv = _tails(level, q, bps.size, pin=False)[:-1]
         slopes.append(np.where(qv < nu - TIE_BAND, 1.0,
                                np.where(qv > nu + TIE_BAND, 0.0, on_tie)))
     contract = CentralizedContract(alpha, q, value, tuple(lp.breakpoints), tuple(slopes),
@@ -463,16 +468,39 @@ def stackelberg_premiums(space: EmpiricalSpace, endowments, distortions,
         pi_i = rho_i(X_i) - rho_i(X_i - I_i(X_i))
 
     so the whole welfare gain accrues to the insurer: each premium is the
-    agent's gross gain in :func:`centralized_welfare`, bit for bit.
+    agent's gross gain in :func:`centralized_welfare`, bit for bit, since
+    both come from one helper that prices the contract's layers without a
+    sort (:func:`_gross_gains`).
     """
     xs, _ = _check_inputs(space, endowments, distortions, contract.alpha)
-    return _gross_gains(space, xs, distortions, contract.indemnity_profiles(space, xs))
+    return _gross_gains(space, xs, distortions, contract)
 
 
-def _gross_gains(space, xs, distortions, indemnities) -> np.ndarray:
-    """rho_i(X_i) - rho_i(X_i - I_i(X_i)) per agent."""
-    return np.array([choquet(space, X, d) - choquet(space, X - I, d)
-                     for X, d, I in zip(xs, distortions, indemnities)])
+def _gross_gains(space, xs, distortions, contract: CentralizedContract) -> np.ndarray:
+    """rho_i(X_i) - rho_i(X_i - I_i(X_i)) per agent, with no sort.
+
+    I_i and X_i - I_i(X_i) are comonotone, so by comonotone additivity of
+    the Choquet integral the gain is sum_k len_ik h_ik T_i(Q(X_i > b_ik))
+    on the contract's own layers, where Q(X_i > t) is constant on every
+    open layer.  The tails come from the endowment by ``searchsorted`` and
+    :func:`_tails`.  A layer with a value of X_i strictly inside it (only a
+    hand-built contract has one) is first split there, both parts keeping
+    its slope.  T_i is ``distortions[i]``, never the caps of the contract's
+    model, which a later warm solve may have moved on.
+    """
+    gains = np.zeros(len(xs))
+    for i, (X, d) in enumerate(zip(xs, distortions)):
+        bps, slopes = contract.breakpoints[i], contract.slopes[i]
+        level = np.searchsorted(bps, X)
+        inside = (level > 0) & (level < bps.size)
+        inside[inside] = bps[level[inside]] != X[inside]
+        if inside.any():
+            cuts = np.unique(X[inside])
+            at = np.searchsorted(bps, cuts)
+            bps, slopes = np.insert(bps, at, cuts), np.insert(slopes, at, slopes[at - 1])
+            level = np.searchsorted(bps, X)
+        gains[i] = np.dot(np.diff(bps) * slopes, d(_tails(level, space.weights, bps.size)[:-1]))
+    return gains
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,11 +538,16 @@ class CentralizedWelfare:
 def centralized_welfare(space: EmpiricalSpace, endowments, distortions,
                         contract: CentralizedContract,
                         premiums=None) -> CentralizedWelfare:
-    """Evaluate gains for policyholders and the expected-shortfall insurer."""
+    """Evaluate gains for policyholders and the expected-shortfall insurer.
+
+    Each gross gain rho_i(X_i) - rho_i(X_i - I_i(X_i)) is priced on the
+    contract's layers by :func:`_gross_gains`, with no sort; the indemnity
+    profiles are built only for the insurer's pool sum_i I_i(X_i), whose
+    expected shortfall is the insurer's risk.
+    """
     xs, alpha = _check_inputs(space, endowments, distortions, contract.alpha)
-    indemnities = contract.indemnity_profiles(space, xs)
-    gross = _gross_gains(space, xs, distortions, indemnities)
-    pool = indemnities.sum(axis=0)
+    gross = _gross_gains(space, xs, distortions, contract)
+    pool = contract.indemnity_profiles(space, xs).sum(axis=0)
     insurer_risk = es(space, pool, alpha)
     aggregate = float(np.sum(gross) - insurer_risk)
     average = aggregate / (len(xs) + 1)

@@ -33,8 +33,8 @@ from .distortion import (PARAM_NAMES, POWER, TABULATED, Distortion,
 from .errors import (ConfigError, DomainError, FormatError, InvalidWeightsError,
                      ParetopoolError, UnsupportedOperationError)
 from .posolver import (AgentSpec, aggregate_loss, settle, solve_robust,
-                       welfare_report, welfare_shares)
-from .riskmeasure import EmpiricalSpace
+                       welfare_shares)
+from .riskmeasure import EmpiricalSpace, choquet
 
 log = logging.getLogger(__name__)
 
@@ -418,13 +418,29 @@ def sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha):
 
     The swept agent's distortion is replaced by power(gamma) at each grid
     value; every agent must carry a single distortion and the shared
-    reference measure.  The peer-to-peer solves run in grid order on one
-    worker thread while this thread solves the measure LPs and the
-    centralized welfare; the rows come back in grid order.  The first grid
-    point builds the measure LP; each later one is warm from the one
-    before, so it evaluates only the swept agent's caps again and re-solves
-    the same live HiGHS model from its last basis.
+    reference measure, and ``sweep_index`` must name one of the agents
+    (0 to n - 1), else DomainError.  A grid point pays only for what its
+    swept distortion changes:
+
+    - Each agent's pre-trade risk rho_i(X_i) is evaluated once per distinct
+      distortion it has in the sweep.  The decentralized average gain is
+      (sum_i rho_i(X_i) - v) / n, with v the layer optimum of
+      :func:`~paretopool.posolver.solve_robust`, which for singleton agents
+      is the post-trade total.
+    - The peer-to-peer solves run in grid order on one worker thread while
+      this thread solves the measure LPs and the centralized welfare.  The
+      first grid point builds the measure LP; each later one is warm from
+      the one before, so it evaluates only the swept agent's caps again and
+      re-solves the same live HiGHS model from its last basis.
+    - The centralized gross gains are priced on each contract's layers with
+      no sort (:func:`~paretopool.centralized.centralized_welfare`).
+
+    Nothing is kept past the call.  The rows come back in grid order.
     """
+    n = len(dist_sets)
+    if not 0 <= sweep_index < n:
+        raise DomainError(f"sweep index {sweep_index} names no agent: "
+                          f"the market has {n} agents (0 to {n - 1})")
     for i, ds in enumerate(dist_sets):
         if len(ds) != 1:
             raise UnsupportedOperationError(
@@ -435,24 +451,29 @@ def sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha):
     if not grid:
         return []
 
-    def decentralized(dists):
-        agents = [AgentSpec(space, single(d), x) for d, x in zip(dists, endowments)]
-        return welfare_report(agents, solve_robust(agents).allocation).average_gain
+    def layer_optimum(dists):
+        return solve_robust([AgentSpec(space, single(d), x)
+                             for d, x in zip(dists, endowments)]).value
 
     # The first LP loads scipy before the worker starts.  One worker: the
     # peer-to-peer solves hold the GIL, so more threads would only take it
     # from each other; HiGHS releases it while it solves.
     rows, contract = [], central.solve_measure_lp(space, endowments, grid[0], alpha)
+    risks = {}
     with ThreadPoolExecutor(max_workers=1) as pool:
-        decs = [pool.submit(decentralized, dists) for dists in grid]
-        for k, (gamma, dists, dec) in enumerate(zip(gammas, grid, decs)):
+        optima = [pool.submit(layer_optimum, dists) for dists in grid]
+        for k, (gamma, dists, optimum) in enumerate(zip(gammas, grid, optima)):
             if k:
                 # The grid's LPs differ only in the swept agent's caps: each
                 # starts from the optimal basis of the one before.
                 contract = central.solve_measure_lp(space, endowments, dists, alpha,
                                                     warm=contract)
             cen = central.centralized_welfare(space, endowments, dists, contract).average_gain
-            dec = dec.result()
+            for i, d in enumerate(dists):
+                if (i, d) not in risks:
+                    risks[i, d] = choquet(space, endowments[i], d)
+            initial = sum(risks[i, d] for i, d in enumerate(dists))
+            dec = (initial - optimum.result()) / n
             pct = 100.0 * (cen - dec) / cen if cen != 0.0 else math.nan
             rows.append((gamma, 1.0 - gamma, cen, dec, pct))
     return rows

@@ -78,16 +78,30 @@ def survival(space: EmpiricalSpace, values, x: float) -> float:
     return float(np.sum(space.weights[mask]))
 
 
+def _tails(levels: np.ndarray, w, size: int, pin: bool = True) -> np.ndarray:
+    """Per breakpoint b_k, k < size, the mass w of the states above it.
+
+    ``levels[s]`` counts the breakpoints strictly below state s's value, so
+    entry k is Q(Z > b_k): a bincount and suffix sums (no cancellation), no
+    sort.  ``pin`` clips into [0, 1] and sets exactly 1 where the mass at or
+    below b_k is an exact zero (full measure): distortions with unbounded
+    endpoint slope would amplify a one-ulp shortfall of the float sum.
+    """
+    mass = np.bincount(levels, weights=w, minlength=size + 1)
+    t = np.cumsum(mass[::-1])[::-1][1:]
+    if pin:
+        t = np.clip(t, 0.0, 1.0)
+        t[np.cumsum(mass[:-1]) == 0.0] = 1.0
+    return t
+
+
 def _layer_table(z: np.ndarray, weight_rows, *, origin: bool = False,
                  pin: bool = True):
     """Sorted distinct values zs of z and, per weight row, the mass of z > zs[k].
 
-    One sort, then a bincount and suffix sums (no cancellation) per distinct
-    row object: O(m log m + rows * m).  ``origin`` prepends 0 when the
-    non-negative z has no zero, giving a loss's layer breakpoints.  ``pin``
-    clips into [0, 1] and sets exactly 1 where the mass at or below zs[k] is
-    an exact zero (full measure): distortions with unbounded endpoint slope
-    would amplify a one-ulp shortfall of the float sum.
+    One sort, then :func:`_tails` per distinct row object:
+    O(m log m + rows * m).  ``origin`` prepends 0 when the non-negative z has
+    no zero, giving a loss's layer breakpoints; ``pin`` is :func:`_tails`'s.
     """
     zs, inverse = np.unique(z, return_inverse=True)
     if origin and zs[0] != 0.0:
@@ -95,12 +109,7 @@ def _layer_table(z: np.ndarray, weight_rows, *, origin: bool = False,
     distinct: dict[int, np.ndarray] = {}
     for w in weight_rows:
         if id(w) not in distinct:
-            mass = np.bincount(inverse, weights=w, minlength=zs.size)
-            t = np.append(np.cumsum(mass[::-1])[::-1][1:], 0.0)
-            if pin:
-                t = np.clip(t, 0.0, 1.0)
-                t[np.cumsum(mass) == 0.0] = 1.0
-            distinct[id(w)] = t
+            distinct[id(w)] = _tails(inverse, w, zs.size, pin)
     return zs, np.array([distinct[id(w)] for w in weight_rows])
 
 
@@ -136,7 +145,11 @@ def choquet(space: EmpiricalSpace, values, d: Distortion) -> float:
     which is exact for profiles bounded below (negative values included,
     via the built-in translation by the minimum).
     """
-    zs, tails = _distinct_layers(space, values)
+    return _choquet_layers(*_distinct_layers(space, values), d)
+
+
+def _choquet_layers(zs: np.ndarray, tails: np.ndarray, d: Distortion) -> float:
+    """:func:`choquet` on the layer table of :func:`_distinct_layers`."""
     if zs.size == 1:
         return float(zs[0])
     return float(zs[0] + np.dot(np.diff(zs), d(tails[:-1])))
@@ -170,13 +183,15 @@ def es(space: EmpiricalSpace, values, alpha: float) -> float:
 def robust_drm(space: EmpiricalSpace, values, candidates: DistortionSet) -> tuple[float, int]:
     """Worst-case Choquet value over a finite candidate set.
 
-    Returns (value, index of the attaining candidate); exact ties keep the
-    lowest index.
+    The profile is sorted once and every candidate priced on that one layer
+    table, each value bit for bit its :func:`choquet`.  Returns (value,
+    index of the attaining candidate); exact ties keep the lowest index.
     """
+    zs, tails = _distinct_layers(space, values)
     best = -math.inf
     best_idx = 0
     for idx, d in enumerate(candidates):
-        v = choquet(space, values, d)
+        v = _choquet_layers(zs, tails, d)
         if v > best:
             best, best_idx = v, idx
     return best, best_idx

@@ -13,6 +13,7 @@ from paretopool import (CentralizedContract, Distortion, EmpiricalSpace,
                         centralized, centralized_welfare, choquet, es,
                         solve_centralized, solve_measure_lp,
                         single, stackelberg_premiums)
+from paretopool import AgentSpec, solve_robust, welfare_report
 from paretopool.centralized import TIE_BAND
 from paretopool.cli import sweep_rows
 from paretopool.errors import (DomainError, NoCessionWarning,
@@ -725,3 +726,168 @@ def test_insurer_risk_is_es_of_pool():
     welfare = centralized_welfare(sp, xs, ds, contract)
     pool = contract.indemnity_profiles(sp, xs).sum(axis=0)
     assert welfare.insurer_risk == pytest.approx(es(sp, pool, 0.25), abs=1e-12)
+
+
+# -- grid points priced on layer tables ---------------------------------------
+
+
+def choquet_gains(sp, xs, ds, contract):
+    """rho_i(X_i) - rho_i(X_i - I_i(X_i)) from two Choquet integrals each."""
+    return np.array([choquet(sp, X, d) - choquet(sp, X - contract.indemnity(i, X), d)
+                     for i, (X, d) in enumerate(zip(xs, ds))])
+
+
+def assert_gross_gains_match(sp, xs, ds, contract):
+    gross = centralized_welfare(sp, xs, ds, contract).gross_gains
+    # The premiums and the welfare's gross gains come from one helper.
+    assert np.array_equal(stackelberg_premiums(sp, xs, ds, contract), gross)
+    assert gross == pytest.approx(choquet_gains(sp, xs, ds, contract), rel=1e-12)
+
+
+def random_market(rng, n_states, n_agents):
+    """Space, endowments, distortions and alpha; some markets carry a state
+    of zero weight, every endowment some exact zeros."""
+    sp = rand_space(rng, n_states)
+    if n_states > 2 and rng.uniform() < 0.4:
+        w = sp.weights.copy()
+        w[int(rng.integers(n_states))] = 0.0
+        sp = EmpiricalSpace(w / w.sum())
+    return (sp, [rand_losses(rng, n_states, scale=8.0) for _ in range(n_agents)],
+            [rand_distortion(rng) for _ in range(n_agents)], float(rng.uniform(0.08, 0.9)))
+
+
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
+def test_gross_gains_equal_choquet_differences_on_lp_contracts():
+    rng = np.random.default_rng(270)
+    sp, xs, base, alpha = sweep_market()
+    markets = [(sp, xs, base + [Distortion.power(0.5)], alpha)]
+    for _ in range(40):
+        markets.append(random_market(rng, int(rng.integers(1, 30)), int(rng.integers(1, 5))))
+    # An all-zero endowment beside a loss, on non-uniform weights.
+    markets.append((EmpiricalSpace([0.1, 0.2, 0.3, 0.4]),
+                    [np.zeros(4), np.array([0.0, 2.0, 5.0, 9.0])],
+                    [Distortion.power(0.4), Distortion.prelec1(0.6)], 0.3))
+    for sp, xs, ds, alpha in markets:
+        assert_gross_gains_match(sp, xs, ds, solve_centralized(sp, xs, ds, alpha))
+
+
+def test_gross_gains_split_hand_built_layers_at_the_endowments_values():
+    rng = np.random.default_rng(271)
+    for _ in range(60):
+        n_states, n_agents = int(rng.integers(1, 15)), int(rng.integers(1, 4))
+        sp, xs, ds, _ = random_market(rng, n_states, n_agents)
+        bps, slopes = [], []
+        for X in xs:
+            # Breakpoints that skip some values of X, start above 0 or stop
+            # below max X, with fractional slopes.
+            top = float(X.max()) * rng.uniform(0.5, 1.5) + 1.0
+            b = np.unique(np.concatenate([rng.uniform(0.0, top, int(rng.integers(1, 6))),
+                                          rng.choice(X, int(rng.integers(0, 3)))]))
+            bps.append(b)
+            slopes.append(rng.choice([0.0, 0.25, 1.0], b.size - 1))
+        contract = CentralizedContract(0.5, sp.weights.copy(), 0.0, tuple(bps), tuple(slopes))
+        assert_gross_gains_match(sp, xs, ds, contract)
+    # One layer [0, 10] over X = (0, 2, 5, 10), fully ceded: the gain is
+    # rho(X) itself, which the unsplit layer would price as 10 * T(3/4).
+    sp, X, d = EmpiricalSpace.uniform(4), np.array([0.0, 2.0, 5.0, 10.0]), Distortion.power(0.5)
+    contract = CentralizedContract(0.5, sp.weights.copy(), 0.0, (np.array([0.0, 10.0]),),
+                                   (np.array([1.0]),))
+    (gain,) = stackelberg_premiums(sp, [X], [d], contract)
+    assert gain == pytest.approx(choquet(sp, X, d), rel=1e-12)
+    assert gain != pytest.approx(10.0 * d(0.75))
+
+
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
+def test_gross_gains_of_an_older_contract_use_its_own_distortions():
+    # The model of a warm chain holds the caps of its latest solve; an older
+    # contract of the chain is still priced with the distortions passed in.
+    sp, xs, base, alpha = sweep_market()
+    old_ds = base + [Distortion.power(0.3)]
+    old = solve_measure_lp(sp, xs, old_ds, alpha)
+    solve_measure_lp(sp, xs, base + [Distortion.power(0.7)], alpha, warm=old)
+    assert_gross_gains_match(sp, xs, old_ds, old)
+
+
+def sweep_markets():
+    """The criterion-8 market and 8 random ones, as (space, endowments,
+    single-distortion sets, swept index, alpha)."""
+    sp, xs, base, alpha = sweep_market()
+    out = [(sp, xs, [single(d) for d in base + [Distortion.power(0.5)]], 2, alpha)]
+    rng = np.random.default_rng(272)
+    for _ in range(8):
+        n_agents = int(rng.integers(1, 5))
+        sp, xs, ds, alpha = random_market(rng, int(rng.integers(2, 30)), n_agents)
+        out.append((sp, xs, [single(d) for d in ds], int(rng.integers(n_agents)), alpha))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
+def test_sweep_rows_equal_direct_welfare_calls():
+    grid = [0.3, 0.5, 0.7, 0.5, 1.4]
+    for sp, xs, dist_sets, swept, alpha in sweep_markets():
+        rows = sweep_rows(sp, xs, dist_sets, swept, grid, alpha)
+        assert [row[0] for row in rows] == grid
+        for gamma, rpra, cen, dec, pct in rows:
+            ds = [Distortion.power(gamma) if i == swept else s[0]
+                  for i, s in enumerate(dist_sets)]
+            agents = [AgentSpec(sp, single(d), x) for d, x in zip(ds, xs)]
+            report = welfare_report(agents, solve_robust(agents).allocation)
+            cold = centralized_welfare(sp, xs, ds, solve_measure_lp(sp, xs, ds, alpha))
+            assert dec == pytest.approx(report.average_gain, rel=1e-12)
+            assert cen == pytest.approx(cold.average_gain, rel=1e-12)
+            assert rpra == 1.0 - gamma
+            if cen != 0.0:
+                assert pct == 100.0 * (cen - dec) / cen
+
+
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
+def test_sweep_prices_each_pre_trade_risk_once(monkeypatch):
+    from paretopool import cli
+    sp, xs, dist_sets, swept, alpha = sweep_markets()[0]
+    seen, price = [], cli.choquet
+
+    def spy(space, values, d):
+        seen.append((next(i for i, x in enumerate(xs) if x is values), d))
+        return price(space, values, d)
+
+    monkeypatch.setattr(cli, "choquet", spy)
+    grid = [0.3, 0.5, 0.3, 0.7, 0.5, 0.65]
+    assert len(sweep_rows(sp, xs, dist_sets, swept, grid, alpha)) == len(grid)
+    # Once per distinct (agent, distortion): the fixed agents once each, the
+    # swept one once per distinct grid value.
+    assert len(seen) == len(set(seen))
+    for i, s in enumerate(dist_sets):
+        if i != swept:
+            assert seen.count((i, s[0])) == 1
+    assert sorted(d.params[0] for i, d in seen if i == swept) == [0.3, 0.5, 0.65, 0.7]
+
+
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
+def test_warm_measure_lp_sorts_nothing(monkeypatch):
+    from paretopool import riskmeasure
+    sp, xs, base, alpha = sweep_market()
+    tables, table = [], riskmeasure._layer_table
+
+    def spy(*args, **kwargs):
+        tables.append(args)
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(riskmeasure, "_layer_table", spy)
+    monkeypatch.setattr(centralized, "_layer_table", spy)
+    lp = solve_measure_lp(sp, xs, base + [Distortion.power(0.3)], alpha)
+    assert len(tables) == len(xs)        # the cold build, once per agent
+    tables.clear()
+    for gamma in GRID:
+        lp = solve_measure_lp(sp, xs, base + [Distortion.power(gamma)], alpha, warm=lp)
+    assert tables == []
+
+
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
+def test_sweep_index_must_name_an_agent():
+    sp, xs, dist_sets, _, alpha = sweep_markets()[0]
+    n = len(dist_sets)
+    for bad in (n, -1):
+        with pytest.raises(DomainError, match=f"sweep index {bad} .* {n} agents"):
+            sweep_rows(sp, xs, dist_sets, bad, [0.3, 0.7], alpha)
+    rows = sweep_rows(sp, xs, dist_sets, n - 1, [0.3, 0.7], alpha)
+    assert rows[0][2:] != rows[1][2:]

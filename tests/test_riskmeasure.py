@@ -280,3 +280,31 @@ def test_robust_drm_convex_combinations_never_increase():
         v_enl, _ = robust_drm(sp, z, enlarged)
         assert v_enl == pytest.approx(v_base, abs=1e-9)
         assert v_enl <= v_base + 1e-9
+
+
+def test_robust_drm_sorts_once_and_matches_choquet_bit_for_bit(monkeypatch):
+    from paretopool import riskmeasure
+    rng = np.random.default_rng(27)
+    cases = []
+    for _ in range(30):
+        n = int(rng.integers(1, 12))
+        cases.append((rand_space(rng, n), rand_losses(rng, n) - float(rng.uniform(0.0, 3.0)),
+                      DistortionSet(tuple(rand_distortion(rng)
+                                          for _ in range(int(rng.integers(1, 5)))))))
+    # Each candidate's own Choquet integral, before the spy goes in.
+    wanted = []
+    for sp, z, cands in cases:
+        values = [choquet(sp, z, d) for d in cands]
+        best = max(values)
+        wanted.append((best, values.index(best)))
+    calls, table = [], riskmeasure._layer_table
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(riskmeasure, "_layer_table", spy)
+    for (sp, z, cands), want in zip(cases, wanted):
+        calls.clear()
+        assert robust_drm(sp, z, cands) == want
+        assert len(calls) == 1
