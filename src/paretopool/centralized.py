@@ -138,19 +138,19 @@ class _Linprog:
     10 sqrt(1e-9), raises :class:`SolverError`.  A_ub and A_eq are COO
     matrices (:class:`_Coo` or scipy's ``coo_array``); numpy merges them
     into the column-wise arrays HiGHS reads (:func:`_colwise`), so no call
-    imports scipy's matrix package.  The result is a
-    ``SimpleNamespace`` with the fields of scipy's (``x``, ``fun``,
-    ``status``, ``nit``, ``ineqlin.marginals``, ...) plus ``model``, the
-    live HiGHS model.  The binding comes from :func:`_highs_binding`, so
-    no call imports ``scipy.optimize``.  ``warm=model`` re-solves that model
-    after pushing in the changed column upper bounds only: a bound change keeps
-    the last optimal basis dual feasible, so the dual simplex restarts from
-    it in a few pivots.  A warm call passes the very cost, A_ub, b_ub, A_eq
-    and b_eq objects of the model's cold call, which are compared by
-    identity, not rebuilt, and the same column lower bounds; otherwise it
-    raises :class:`DomainError`.  A model's first warm solve restarts
-    HiGHS from the cold solve's basis under Devex dual pricing, which the
-    model then keeps; the cold solve keeps scipy's options.
+    imports scipy's matrix package.  The result is a ``SimpleNamespace``
+    with scipy's ``x``, ``fun``, ``status``, ``nit`` and ``ineqlin.marginals``
+    plus ``model``, the live HiGHS model.  The binding comes from
+    :func:`_highs_binding`, so no call imports ``scipy.optimize``.
+    ``warm=model`` re-solves that model after pushing in the changed column
+    upper bounds only: a bound change keeps the last optimal basis dual
+    feasible, so the dual simplex restarts from it in a few pivots.  A warm
+    call passes the very cost, A_ub, b_ub, A_eq and b_eq objects of the
+    model's cold call, which are compared by identity, not rebuilt, and the
+    same column lower bounds; otherwise it raises :class:`DomainError`.  A
+    model's first warm solve restarts HiGHS from the cold solve's basis
+    under Devex dual pricing, which the model then keeps; the cold solve
+    keeps scipy's options.
 
     An instance, not a function: a tracer that wraps every public function
     of this module and also ``linprog`` (``perfbench/tracer.py``) would
@@ -217,11 +217,8 @@ class _Linprog:
                 or np.any(slack < -tol) or np.any(np.abs(con) > tol)):
             raise SolverError(f"HiGHS solution breaks the constraints by more than {tol:.2e}")
         return SimpleNamespace(
-            x=x, fun=fun, success=True, status=0,
-            message=highs.modelStatusToString(status),
-            nit=info.simplex_iteration_count,
-            ineqlin=SimpleNamespace(marginals=np.array(solution.row_dual)[:n_ub],
-                                    residual=slack),
+            x=x, fun=fun, status=0, nit=info.simplex_iteration_count,
+            ineqlin=SimpleNamespace(marginals=np.array(solution.row_dual)[:n_ub]),
             model=model)
 
 
@@ -251,8 +248,9 @@ class CentralizedContract:
     1 where Q* undercuts nu_i, 0 where it exceeds it, and on the tie band
     the cession fraction the measure LP's dual gives that layer.  ``value``
     is the LP optimum.  ``model`` is the live HiGHS model of the solve
-    (None when there was no LP); a warm solve from this contract moves it
-    on to the new problem, so every contract of one warm chain shares it.
+    (None only for a hand-built contract); a warm solve from this contract
+    moves it on to the new problem, so every contract of one warm chain
+    shares it.
     """
 
     alpha: float
@@ -266,8 +264,14 @@ class CentralizedContract:
         return _layer_function(self.breakpoints[i], self.slopes[i], x)
 
     def indemnity_profiles(self, space: EmpiricalSpace, endowments) -> np.ndarray:
+        self._check_agents(len(endowments))
         return np.array([self.indemnity(i, as_profile(space, X))
                          for i, X in enumerate(endowments)])
+
+    def _check_agents(self, count: int) -> None:
+        if count != len(self.slopes):
+            raise ProfileMismatchError(f"the contract has {len(self.slopes)} agents but "
+                                       f"the market has {count} endowments")
 
     def deductible(self, i: int) -> float | None:
         """Deductible level when agent i's contract is 0..0 then 1..1.
@@ -308,29 +312,24 @@ class _MeasureLP:
     """The measure LP as a cold :func:`solve_measure_lp` built it, kept on
     its live model so that a warm solve neither rebuilds nor compares it.
 
-    Per agent: the layer ``breakpoints``, each state's ``levels`` (the number
-    of breakpoints below X_i there), the reference survival ``tails``
-    Q(X_i > b_k) and the caps ``nus``, the distortion of those tails under
-    ``distortions``, which are those of the model's latest solve.  ``lens``
-    holds every layer length and ``first`` each agent's first layer.  A warm
-    solve is checked against ``alpha``, ``weights`` and the endowments
-    ``xs``; ``cost`` to ``lower`` are :data:`linprog`'s arguments but the
-    upper bounds.
+    Per agent: :func:`_layer_table`'s ``breakpoints``, reference survival
+    ``tails`` Q(X_i > b_k) and state ``levels``, and the caps ``nus``, the
+    distortion of those tails under ``distortions``, which are those of the
+    model's latest solve.  ``lens`` holds every layer length and ``first``
+    each agent's first layer.  A warm solve is checked against ``alpha``,
+    ``weights`` and the endowments ``xs``.  ``args`` holds the keywords c,
+    A_ub, b_ub, A_eq and b_eq that every solve passes to :data:`linprog`.
     """
 
     alpha: float
     weights: np.ndarray
     xs: list
-    breakpoints: list
-    levels: list
+    breakpoints: tuple
+    levels: tuple
     tails: list
     lens: np.ndarray
     first: np.ndarray
-    cost: np.ndarray
-    a_ub: _Coo
-    b_ub: np.ndarray
-    a_eq: _Coo
-    b_eq: np.ndarray
+    args: dict
     lower: np.ndarray
     distortions: list
     nus: list
@@ -343,17 +342,13 @@ def _build_measure_lp(space: EmpiricalSpace, xs, alpha: float) -> _MeasureLP:
     R_i,k+1 on agent i's top layer; row n_aux: sum q = 1.
     """
     n_states = space.state_count
-    bps_all, tails_all, levels = [], [], []
-    for X in xs:
-        bps, tails = _layer_table(X, [space.weights], origin=True)
-        bps_all.append(bps)
-        tails_all.append(tails[0, :-1])
-        # State s sits on breakpoint level[s]: it lies in {X > b_k} iff k < level.
-        levels.append(np.searchsorted(bps, X))
-    lens_all = [np.diff(bps) for bps in bps_all]
-    lens = np.concatenate(lens_all)
+    # State s sits on breakpoint levels[i][s]: it lies in {X_i > b_k} iff k < level.
+    bps_all, tables, levels = zip(*(_layer_table(X, [space.weights], origin=True)
+                                    for X in xs))
+    tails_all = [t[0, :-1] for t in tables]
+    lens = np.concatenate([np.diff(bps) for bps in bps_all])
     n_aux = lens.size
-    first = np.cumsum([0] + [v.size for v in lens_all])[:-1]
+    first = np.cumsum([0] + [bps.size - 1 for bps in bps_all])[:-1]
     layer = np.arange(n_aux)
     inner = np.setdiff1d(layer[:-1], first - 1)
     r_col = n_states + layer
@@ -368,10 +363,10 @@ def _build_measure_lp(space: EmpiricalSpace, xs, alpha: float) -> _MeasureLP:
                 np.concatenate([r_col + n_aux, r_col]), (n_aux, n_cols))
     # R is free, not >= 0 (its chain sums q's): it stays basic, for fewer pivots.
     lower = np.repeat([0.0, -np.inf, 0.0], [n_states, n_aux, n_aux])
+    args = dict(c=np.concatenate([np.zeros(n_states + n_aux), -lens]), A_ub=a_ub,
+                b_ub=np.zeros(n_aux), A_eq=a_eq, b_eq=np.append(np.zeros(n_aux), 1.0))
     return _MeasureLP(alpha, space.weights, [X.copy() for X in xs], bps_all, levels,
-                      tails_all, lens, first, np.concatenate([np.zeros(n_states + n_aux), -lens]),
-                      a_ub, np.zeros(n_aux), a_eq, np.append(np.zeros(n_aux), 1.0), lower,
-                      [None] * len(xs), [None] * len(xs))
+                      tails_all, lens, first, args, lower, [None] * len(xs), [None] * len(xs))
 
 
 def solve_measure_lp(space: EmpiricalSpace, endowments, distortions, alpha: float,
@@ -403,7 +398,7 @@ def solve_measure_lp(space: EmpiricalSpace, endowments, distortions, alpha: floa
     """
     xs, alpha = _check_inputs(space, endowments, distortions, alpha)
     if warm is None:
-        lp = _build_measure_lp(space, xs, alpha)
+        lp, start = _build_measure_lp(space, xs, alpha), {}
     else:
         lp = None if warm.model is None else warm.model.measure
         if lp is None or alpha != lp.alpha or not np.array_equal(space.weights, lp.weights):
@@ -412,33 +407,25 @@ def solve_measure_lp(space: EmpiricalSpace, endowments, distortions, alpha: floa
         if len(xs) != len(lp.xs) or not all(map(np.array_equal, xs, lp.xs)):
             raise DomainError("a warm measure LP needs the same endowments: a warm "
                               "LP solve may change column upper bounds only")
+        start = {"warm": warm.model}
     for i, d in enumerate(distortions):
         if d != lp.distortions[i]:
             lp.distortions[i], lp.nus[i] = d, d(lp.tails[i])
     n_states, n_aux = space.state_count, lp.lens.size
-    caps = space.weights / alpha
-
-    if n_aux == 0:
-        # Everything is a constant zero loss; any feasible q is optimal.
-        q = np.minimum(caps, 1.0)
-        q *= 1.0 / q.sum()
-        value, fractions, model = 0.0, np.zeros(0), None
-    else:
-        upper = np.concatenate([caps, np.full(n_aux, np.inf)] + lp.nus)
-        args = dict(A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
-                    bounds=np.column_stack([lp.lower, upper]))
-        if warm is not None:
-            args["warm"] = warm.model
-        res = linprog(lp.cost, **args)
-        log.debug("measure LP solved: %d states, %d layers, %d rows, %d columns, "
-                  "%d nonzeros, HiGHS status %d, %s start, %d iterations, value %.6g",
-                  n_states, n_aux, lp.a_ub.shape[0] + lp.a_eq.shape[0], upper.size,
-                  lp.a_ub.nnz + lp.a_eq.nnz, res.status, "cold" if warm is None else "warm",
-                  res.nit, -res.fun)
-        q, value, model = res.x[:n_states].copy(), float(-res.fun), getattr(res, "model", None)
-        if model is not None:
-            model.measure = lp
-        fractions = np.clip(-res.ineqlin.marginals / lp.lens, 0.0, 1.0)
+    upper = np.concatenate([space.weights / alpha, np.full(n_aux, np.inf)] + lp.nus)
+    res = linprog(**lp.args, bounds=np.column_stack([lp.lower, upper]), **start)
+    # Not -fun: with no layer, fun is +0.0 and the value must stay +0.0.
+    value = float(0.0 - res.fun)
+    a_ub, a_eq = lp.args["A_ub"], lp.args["A_eq"]
+    log.debug("measure LP solved: %d states, %d layers, %d rows, %d columns, "
+              "%d nonzeros, HiGHS status %d, %s start, %d iterations, value %.6g",
+              n_states, n_aux, a_ub.shape[0] + a_eq.shape[0], upper.size,
+              a_ub.nnz + a_eq.nnz, res.status, "cold" if warm is None else "warm",
+              res.nit, value)
+    q, model = res.x[:n_states].copy(), getattr(res, "model", None)
+    if model is not None:
+        model.measure = lp
+    fractions = np.clip(-res.ineqlin.marginals / lp.lens, 0.0, 1.0)
 
     slopes = []
     for bps, level, nu, on_tie in zip(lp.breakpoints, lp.levels, lp.nus,
@@ -447,8 +434,7 @@ def solve_measure_lp(space: EmpiricalSpace, endowments, distortions, alpha: floa
         qv = _tails(level, q, bps.size, pin=False)[:-1]
         slopes.append(np.where(qv < nu - TIE_BAND, 1.0,
                                np.where(qv > nu + TIE_BAND, 0.0, on_tie)))
-    contract = CentralizedContract(alpha, q, value, tuple(lp.breakpoints), tuple(slopes),
-                                  model)
+    contract = CentralizedContract(alpha, q, value, lp.breakpoints, tuple(slopes), model)
     if contract.cedes_nothing():
         warnings.warn("centralized contract cedes nothing to the insurer",
                       NoCessionWarning, stacklevel=2)
@@ -488,6 +474,7 @@ def _gross_gains(space, xs, distortions, contract: CentralizedContract) -> np.nd
     its slope.  T_i is ``distortions[i]``, never the caps of the contract's
     model, which a later warm solve may have moved on.
     """
+    contract._check_agents(len(xs))
     gains = np.zeros(len(xs))
     for i, (X, d) in enumerate(zip(xs, distortions)):
         bps, slopes = contract.breakpoints[i], contract.slopes[i]

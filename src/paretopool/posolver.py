@@ -119,7 +119,7 @@ def layer_decomposition(S, beliefs) -> LayerGrid:
     if any(b.state_count != ref.state_count for b in beliefs):
         raise ProfileMismatchError("beliefs must share one state set")
     # Beliefs shared by several agents are tabulated once.
-    breakpoints, tails = _layer_table(S, [b.weights for b in beliefs], origin=True)
+    breakpoints, tails, _ = _layer_table(S, [b.weights for b in beliefs], origin=True)
     return LayerGrid(breakpoints, tails[:, :-1])
 
 

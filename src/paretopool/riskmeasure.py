@@ -95,22 +95,22 @@ def _tails(levels: np.ndarray, w, size: int, pin: bool = True) -> np.ndarray:
     return t
 
 
-def _layer_table(z: np.ndarray, weight_rows, *, origin: bool = False,
-                 pin: bool = True):
-    """Sorted distinct values zs of z and, per weight row, the mass of z > zs[k].
+def _layer_table(z: np.ndarray, weight_rows, *, origin: bool = False):
+    """Sorted distinct values zs of z, per weight row the pinned mass of
+    z > zs[k], and each state's level: its index in zs, so zs[levels] == z.
 
     One sort, then :func:`_tails` per distinct row object:
     O(m log m + rows * m).  ``origin`` prepends 0 when the non-negative z has
-    no zero, giving a loss's layer breakpoints; ``pin`` is :func:`_tails`'s.
+    no zero, giving a loss's layer breakpoints.
     """
-    zs, inverse = np.unique(z, return_inverse=True)
+    zs, levels = np.unique(z, return_inverse=True)
     if origin and zs[0] != 0.0:
-        zs, inverse = np.concatenate([[0.0], zs]), inverse + 1
+        zs, levels = np.concatenate([[0.0], zs]), levels + 1
     distinct: dict[int, np.ndarray] = {}
     for w in weight_rows:
         if id(w) not in distinct:
-            distinct[id(w)] = _tails(inverse, w, zs.size, pin)
-    return zs, np.array([distinct[id(w)] for w in weight_rows])
+            distinct[id(w)] = _tails(levels, w, zs.size)
+    return zs, np.array([distinct[id(w)] for w in weight_rows]), levels
 
 
 def _layer_function(breakpoints: np.ndarray, slopes: np.ndarray, x) -> np.ndarray:
@@ -131,7 +131,7 @@ def _layer_function(breakpoints: np.ndarray, slopes: np.ndarray, x) -> np.ndarra
 
 def _distinct_layers(space: EmpiricalSpace, values):
     """Sorted distinct values and the survival tails[k] = Q(Z > zs[k])."""
-    zs, tails = _layer_table(as_profile(space, values), [space.weights])
+    zs, tails, _ = _layer_table(as_profile(space, values), [space.weights])
     return zs, tails[0]
 
 

@@ -1,6 +1,7 @@
 """Centralized insurance: measure LP, indemnities, Stackelberg premiums."""
 
 import logging
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -65,6 +66,44 @@ def test_lp_degenerate_all_zero_losses():
     assert lp.value == 0.0
     assert float(np.sum(lp.q_star)) == pytest.approx(1.0, abs=1e-12)
     assert lp.slopes[0].size == 0
+
+
+def test_all_zero_market_solves_like_any_other():
+    # No layer: A_ub has no row and A_eq only sum q = 1, solved by HiGHS.
+    sp, alpha = rand_space(np.random.default_rng(62), 5), 0.3
+    xs, ds = [np.zeros(5), np.zeros(5)], [Distortion.power(0.5), Distortion.tvar(0.3)]
+    with pytest.warns(NoCessionWarning):
+        cold = solve_measure_lp(sp, xs, ds, alpha)
+    assert isinstance(cold.model, centralized._HighsModel)
+    assert np.all(cold.q_star >= 0.0) and np.all(cold.q_star <= sp.weights / alpha)
+    assert float(np.sum(cold.q_star)) == pytest.approx(1.0, abs=1e-12)
+    assert cold.value == 0.0 and math.copysign(1.0, cold.value) == 1.0
+    assert [s.size for s in cold.slopes] == [0, 0]
+    moved = [Distortion.power(0.8), ds[1]]
+    with pytest.warns(NoCessionWarning):
+        warm = solve_measure_lp(sp, xs, moved, alpha, warm=cold)
+    with pytest.warns(NoCessionWarning):
+        fresh = solve_measure_lp(sp, xs, moved, alpha)
+    assert warm.model is cold.model
+    assert math.copysign(1.0, warm.value) == 1.0 and warm.value == fresh.value
+    assert np.array_equal(warm.q_star, fresh.q_star)
+
+
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
+def test_contract_priced_on_a_market_of_another_size():
+    sp, xs, base, alpha = sweep_market()
+    ds = base + [Distortion.power(0.5)]
+    contract = solve_measure_lp(sp, xs, ds, alpha)
+    assert not contract.cedes_nothing() and len(xs) == 3
+    for k in (2, 4):
+        market, dists = (xs * 2)[:k], (ds * 2)[:k]
+        match = f"contract has 3 agents but the market has {k} endowments"
+        with pytest.raises(ProfileMismatchError, match=match):
+            stackelberg_premiums(sp, market, dists, contract)
+        with pytest.raises(ProfileMismatchError, match=match):
+            centralized_welfare(sp, market, dists, contract)
+        with pytest.raises(ProfileMismatchError, match=match):
+            contract.indemnity_profiles(sp, market)
 
 
 @pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")

@@ -644,6 +644,19 @@ def test_po_centralized_outputs(workdir):
     assert np.all(retained >= -1e-9)
 
 
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
+def test_po_centralized_on_all_zero_claims(workdir):
+    # No layer to cede: the measure LP is sum q = 1 alone, solved by HiGHS.
+    (workdir / "data.csv").write_text(re.sub(r",\d+\n", ",0\n", DATA_CSV))
+    out = workdir / "cen0"
+    assert run(workdir, "po-centralized", "--config", workdir / "config.json",
+               "--data", workdir / "data.csv", "--out", out) == 0
+    saved = json.loads((out / "contract.json").read_text())
+    assert saved["lp_value"] == 0.0 and math.copysign(1.0, saved["lp_value"]) == 1.0
+    assert math.fsum(saved["q_star"]) == pytest.approx(1.0, abs=1e-12)
+    assert all(a["slopes"] == [] for a in saved["agents"])
+
+
 def test_po_centralized_alpha_override(workdir):
     (workdir / "config.json").write_text(json.dumps(base_config(alpha=0.4)))
     out = workdir / "cen_a"

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paretopool import (Distortion, DistortionSet, EmpiricalSpace, choquet,
                         es, robust_drm, survival, var)
 from paretopool.errors import DomainError, ProfileMismatchError
+from paretopool.riskmeasure import _layer_table
 from testkit import rand_distortion, rand_losses, rand_space
 
 E_INV = math.exp(-1.0)
@@ -308,3 +309,22 @@ def test_robust_drm_sorts_once_and_matches_choquet_bit_for_bit(monkeypatch):
         calls.clear()
         assert robust_drm(sp, z, cands) == want
         assert len(calls) == 1
+
+
+@given(z=st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]) | st.floats(0.0, 50.0),
+                  min_size=1, max_size=12),
+       origin=st.booleans(), shift=st.sampled_from([0.0, -2.0]), seed=st.integers(0, 10_000))
+@example(z=[2.0, 1.0, 2.0, 1.0], origin=True, shift=0.0, seed=0)  # ties, no zero
+@example(z=[0.0, 0.0, 4.0], origin=True, shift=0.0, seed=1)       # zeros
+@example(z=[0.0, 0.0], origin=True, shift=0.0, seed=2)            # all zero
+@settings(max_examples=150, deadline=None)
+def test_layer_table_levels_index_each_state_in_zs(z, origin, shift, seed):
+    # origin takes a non-negative loss; without it any profile goes.
+    z = np.array(z) + (0.0 if origin else shift)
+    w = rand_space(np.random.default_rng(seed), z.size).weights
+    zs, tails, levels = _layer_table(z, [w], origin=origin)
+    assert np.array_equal(levels, np.searchsorted(zs, z))
+    assert np.array_equal(zs[levels], z)
+    assert np.array_equal(zs, np.unique(np.append(z, 0.0) if origin else z))
+    want = [min(1.0, math.fsum(w[z > b])) for b in zs]
+    assert tails[0] == pytest.approx(want, abs=1e-12)
