@@ -1,12 +1,13 @@
 """Claim-level CSV ingestion into monthly loss panels.
 
 Input grammar: UTF-8 CSV with a header row and RFC-4180 quoting, one row per
-claim, carrying at least a date column ``dateOfLoss`` (ISO 8601, a leading
-YYYY-MM-DD is enough), an agent label column ``state`` and a numeric loss
-column (``amountPaid`` unless configured otherwise).  Claims are summed by
-calendar month and agent.  The panel spans every month between the first
-and last observed claim, so months without claims become genuine zero-loss
-states; with uniform weights the panel is an empirical probability space.
+claim, carrying at least a date column ``dateOfLoss`` (its first 10
+characters a strict YYYY-MM-DD on every Python), an agent label column
+``state`` and a numeric loss column (``amountPaid`` unless configured
+otherwise).  Claims are summed by calendar month and agent.  The panel
+spans every month between the first and last observed claim, so months
+without claims become genuine zero-loss states; with uniform weights the
+panel is an empirical probability space.
 
 ``parse_losses`` reads the lines after the header in blocks of a fixed
 number of lines and keeps no line beyond its block.  A block is parsed in C
@@ -60,9 +61,9 @@ DEFAULT_LOSS_COLUMN = "amountPaid"
 # time beside the used rows' three columns.
 _BLOCK_LINES = 1 << 13
 # The fields np.loadtxt reads, which it cuts silently to their width.  The
-# loop reads a date as fromisoformat(raw.strip()[:10]); a cell that passes
-# the date kernel has no leading whitespace, so its first 10 characters are
-# all the loop reads of it.  A label as wide as its field may have been cut.
+# loop reads a date from raw.strip()[:10]; a cell that passes the date kernel
+# has no leading whitespace, so its first 10 characters are all the loop
+# reads of it.  A label as wide as its field may have been cut.
 _LABEL_WIDTH = 16
 _FIELDS = [("date", "U10"), ("label", f"U{_LABEL_WIDTH}"), ("loss", "f8")]
 # csv reads quotes and carriage returns by rules of its own, and loadtxt
@@ -167,9 +168,14 @@ def _csv_errors(reader, lines_before: int = 0):
 
 
 def _month_key(raw_date: str) -> int:
-    """12 * year + month - 1 of a leading ISO date, or -1 if it is invalid."""
+    """12 * year + month - 1 of a leading YYYY-MM-DD, or -1 if it is invalid
+    (from Python 3.11 on, fromisoformat alone also reads YYYYMMDD and ISO
+    week dates, which 3.10 and the block path reject)."""
+    head = raw_date.strip()[:10]
+    if head[4:5] != "-" or head[7:8] != "-":
+        return -1
     try:
-        date = _dt.date.fromisoformat(raw_date.strip()[:10])
+        date = _dt.date.fromisoformat(head)
     except ValueError:
         return -1
     return 12 * date.year + date.month - 1
@@ -177,8 +183,8 @@ def _month_key(raw_date: str) -> int:
 
 def _iso_month_keys(dates: np.ndarray):
     """12 * year + month - 1 of each ``U10`` date, or None unless every one
-    is a strict ASCII YYYY-MM-DD naming a real day of a year >= 1, which
-    date.fromisoformat reads as that day in Python 3.10 and 3.11 alike."""
+    is a strict ASCII YYYY-MM-DD naming a real day of a year >= 1, the only
+    date text :func:`_month_key` accepts on any Python."""
     c = np.ascontiguousarray(dates).view(np.uint32).reshape(len(dates), 10) - _ISO_BASE
     if (c > _ISO_SPAN).any():
         return None

@@ -324,7 +324,7 @@ def welfare_shares(weights, n: int) -> np.ndarray:
 class MarketReport:
     """Welfare accounting of a completed trade.
 
-    ``optimum_value`` is the attained objective sum_i rho_i(g_i(S) + c_i),
+    ``optimum_value`` is the attained objective sum_i (rho_i(g_i(S)) + c_i),
     which equals the layer optimum for singleton candidate sets.
     """
 
@@ -348,10 +348,10 @@ class MarketReport:
 
 
 def welfare_report(agents, alloc: LayerAllocation) -> MarketReport:
-    """Evaluate initial and post-trade risk for a finished allocation."""
-    S = _check_market(agents, alloc)
-    return _market_report(_robust_values(agents, [a.endowment for a in agents]),
-                          _robust_values(agents, alloc.profiles(S)))
+    """Initial risk rho_i(X_i) and post-trade risk rho_i(g_i(S)) + c_i of a
+    finished allocation; cash shifts a translation-invariant rho_i by c_i."""
+    initial, pre = _pre_trade_values(agents, alloc)
+    return _market_report(initial, pre + alloc.side_payments)
 
 
 def _market_report(initial, post) -> MarketReport:
@@ -372,15 +372,14 @@ def settle(agents, alloc: LayerAllocation,
     """Attach side payments to an allocation and report the trade's welfare.
 
     The same values as :func:`side_payments`, :func:`with_side_payments`
-    and :func:`welfare_report` of the result, with each agent's risk
-    evaluated once per profile: rho_i(X_i), rho_i(g_i(S)) and
-    rho_i(g_i(S) + c_i).  ``weights`` gives the non-negative proportions of
-    the welfare gain W, as for :func:`side_payments`.
+    and :func:`welfare_report` of the result, with two pricings per agent,
+    rho_i(X_i) and rho_i(g_i(S)); the post-trade risk is rho_i(g_i(S)) + c_i.
+    ``weights`` gives the non-negative proportions of the welfare gain W, as
+    for :func:`side_payments`.
     """
     initial, pre = _pre_trade_values(agents, alloc)
     settled = with_side_payments(alloc, _payments(initial, pre, weights))
-    post = _robust_values(agents, settled.profiles(aggregate_loss(agents)))
-    return settled, _market_report(initial, post)
+    return settled, _market_report(initial, pre + settled.side_payments)
 
 
 def prelec_deductible(space: EmpiricalSpace, S, distortions) -> float:

@@ -649,6 +649,26 @@ def test_realized_welfare_matches_lp_frontier():
             welfare.aggregate_gain / (n_agents + 1), abs=1e-12)
 
 
+def test_optimality_certificate_at_benchmark_scale():
+    # The central-lp workload's shape: 480 months x 10 agents of
+    # Pareto-tailed losses, alternating Kahneman-Tversky and Prelec1.
+    rng = np.random.default_rng(480)
+    m, n, alpha = 480, 10, 0.15
+    sp = EmpiricalSpace.uniform(m)
+    tails, scales = rng.uniform(1.5, 3.0, n), rng.uniform(1e3, 1e4, n)
+    xs = [np.round(scale * (1.0 - rng.random(m)) ** (-1.0 / tail), 2)
+          for tail, scale in zip(tails, scales)]
+    ds = [Distortion.kahneman_tversky(rng.uniform(0.4, 0.9)) if i % 2 == 0
+          else Distortion.prelec1(rng.uniform(0.5, 0.9)) for i in range(n)]
+    contract = solve_centralized(sp, xs, ds, alpha)
+    welfare = centralized_welfare(sp, xs, ds, contract)
+    rho_sum = math.fsum(choquet(sp, X, d) for X, d in zip(xs, ds))
+    assert abs(rho_sum - welfare.aggregate_gain - contract.value) <= 1e-9 * abs(contract.value)
+    q = contract.q_star
+    assert np.all(q >= 0.0) and np.all(q <= sp.weights / alpha)
+    assert abs(math.fsum(q) - 1.0) <= 1e-9
+
+
 def test_welfare_is_premium_independent():
     sp, xs, ds = one_agent_instance()
     contract = hand_contract([0.7, 0.3], [0.0, 10.0], [1.0])

@@ -83,6 +83,19 @@ def test_bad_rows_are_rejected_with_reasons():
     assert panel.losses[0, 0] == 2.0
 
 
+def test_dates_are_strict_yyyy_mm_dd_on_every_python():
+    # Python 3.11's fromisoformat reads the first two; 3.10's does not.
+    text = ("dateOfLoss,state,amountPaid\n"
+            "20200115,CA,5\n"
+            "2020-W05-1,CA,7\n"
+            "2020-03-15,CA,3\n")
+    panel, report = parse_losses(text)
+    assert report.used_rows == 1
+    assert report.rejected == ((2, "bad date '20200115'"), (3, "bad date '2020-W05-1'"))
+    assert panel.months == ((2020, 3),)
+    assert panel.losses.tolist() == [[3.0]]
+
+
 def test_gap_months_become_zero_states():
     text = ("dateOfLoss,state,amountPaid\n"
             "2020-01-05,CA,10\n"
@@ -132,6 +145,9 @@ def _dictreader_reference(text, loss_column="amountPaid"):
         line = reader.line_num
         raw_date = (row.get("dateOfLoss") or "").strip()
         try:
+            # fromisoformat reads more than YYYY-MM-DD from Python 3.11 on.
+            if raw_date[4:5] != "-" or raw_date[7:8] != "-":
+                raise ValueError(raw_date)
             date = dt.date.fromisoformat(raw_date[:10])
         except ValueError:
             rejected.append((line, f"bad date {raw_date!r}"))

@@ -8,9 +8,9 @@ import pytest
 
 from paretopool import (AgentSpec, Distortion, DistortionSet, EmpiricalSpace,
                         LayerAllocation, aggregate_loss, choquet,
-                        layer_decomposition, prelec_deductible, settle,
-                        side_payments, single, solve_fixed, solve_robust, var,
-                        welfare_report, with_side_payments)
+                        layer_decomposition, prelec_deductible, robust_drm,
+                        settle, side_payments, single, solve_fixed,
+                        solve_robust, var, welfare_report, with_side_payments)
 from paretopool import posolver
 from paretopool.centralized import CentralizedContract, solve_centralized
 from paretopool.errors import (DomainError, InvalidWeightsError,
@@ -309,8 +309,9 @@ def test_settle_matches_side_payments_then_welfare_report(monkeypatch, seed, rul
         return original(*args, **kwargs)
     monkeypatch.setattr(posolver, "robust_drm", counting)
     settled, report = settle(agents, alloc, weights)
-    # rho_i(X_i), rho_i(g_i(S)) and rho_i(g_i(S) + c_i), once each.
-    assert len(calls) == 3 * n
+    # rho_i(X_i) and rho_i(g_i(S)), once each; rho_i(g_i(S) + c_i) is
+    # rho_i(g_i(S)) + c_i by translation invariance.
+    assert len(calls) == 2 * n
     assert settled.side_payments.tobytes() == c.tobytes()
     assert np.array_equal(settled.slopes, alloc.slopes)
     for field in ("initial_values", "post_trade_values", "welfare_gains"):
@@ -318,6 +319,52 @@ def test_settle_matches_side_payments_then_welfare_report(monkeypatch, seed, rul
     assert report.total_welfare == expected.total_welfare
     assert report.average_gain == expected.average_gain
     assert report.optimum_value == expected.optimum_value
+
+
+@pytest.mark.parametrize("rule", ["last", "proportions"])
+def test_post_trade_risk_prices_the_paid_profile_by_translation_invariance(
+        monkeypatch, rule):
+    # welfare_report reads rho_i(g_i(S) + c_i) as rho_i(g_i(S)) + c_i; the
+    # direct path prices the paid profile g_i(S) + c_i itself.
+    rng = np.random.default_rng(950 + (rule == "last"))
+    signs, calls = set(), []
+
+    def spy(f, name):
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return counting
+    for _ in range(20):
+        m, n = int(rng.integers(3, 30)), int(rng.integers(2, 5))
+        zero_state = [int(rng.integers(m))]
+        agents = [AgentSpec(_sparse_belief(rng, m, zero_state),
+                            DistortionSet(tuple(rand_distortion(rng)
+                                                for _ in range(int(rng.integers(2, 4))))),
+                            rand_losses(rng, m))
+                  for _ in range(n)]
+        alloc = solve_robust(agents).allocation
+        weights = rule if rule == "last" else rng.random(n) + 0.1
+        paid = with_side_payments(alloc, side_payments(alloc, agents, weights))
+        c = paid.side_payments
+        signs.update(np.sign(c[c != 0.0]).tolist())
+        S = aggregate_loss(agents)
+
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(posolver, "robust_drm", spy(posolver.robust_drm, "robust_drm"))
+            patch.setattr(LayerAllocation, "profiles", spy(LayerAllocation.profiles, "profiles"))
+            report = welfare_report(agents, paid)
+            settle(agents, alloc, weights)
+        # Two pricings per agent in each call, and no paid profile built.
+        assert calls == ["robust_drm"] * (4 * n)
+
+        coverage, profiles = alloc.coverage(S), paid.profiles(S)
+        for i, a in enumerate(agents):
+            direct = robust_drm(a.belief, profiles[i], a.distortions)[0]
+            pre = robust_drm(a.belief, coverage[i], a.distortions)[0]
+            scale = max(abs(pre), abs(c[i]), 1.0)
+            assert abs(report.post_trade_values[i] - direct) <= 1e-12 * scale
+    assert signs == {-1.0, 1.0}
 
 
 def test_settle_validates_sizes():
