@@ -28,8 +28,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DomainError, NoCessionWarning, ProfileMismatchError, SolverError
-from .riskmeasure import (EmpiricalSpace, _layer_function, _layer_table, _tails,
-                          as_profile, es)
+from .riskmeasure import (EmpiricalSpace, _layer_function, _layer_prices, _layer_table,
+                          _tails, as_profile, es)
 
 log = logging.getLogger(__name__)
 
@@ -451,43 +451,18 @@ def stackelberg_premiums(space: EmpiricalSpace, endowments, distortions,
                          contract: CentralizedContract) -> np.ndarray:
     """Premiums that make every policyholder exactly indifferent.
 
-        pi_i = rho_i(X_i) - rho_i(X_i - I_i(X_i))
+        pi_i = rho_i(X_i) - rho_i(X_i - I_i(X_i)) = rho_i(I_i(X_i))
 
-    so the whole welfare gain accrues to the insurer: each premium is the
-    agent's gross gain in :func:`centralized_welfare`, bit for bit, since
-    both come from one helper that prices the contract's layers without a
-    sort (:func:`_gross_gains`).
+    by comonotone additivity, so the whole welfare gain accrues to the
+    insurer.  Each is priced on the contract's own layers by
+    :func:`_layer_prices` under ``distortions[i]``, never under the caps of
+    the contract's model, which a later warm solve may have moved on.
     """
     xs, _ = _check_inputs(space, endowments, distortions, contract.alpha)
-    return _gross_gains(space, xs, distortions, contract)
-
-
-def _gross_gains(space, xs, distortions, contract: CentralizedContract) -> np.ndarray:
-    """rho_i(X_i) - rho_i(X_i - I_i(X_i)) per agent, with no sort.
-
-    I_i and X_i - I_i(X_i) are comonotone, so by comonotone additivity of
-    the Choquet integral the gain is sum_k len_ik h_ik T_i(Q(X_i > b_ik))
-    on the contract's own layers, where Q(X_i > t) is constant on every
-    open layer.  The tails come from the endowment by ``searchsorted`` and
-    :func:`_tails`.  A layer with a value of X_i strictly inside it (only a
-    hand-built contract has one) is first split there, both parts keeping
-    its slope.  T_i is ``distortions[i]``, never the caps of the contract's
-    model, which a later warm solve may have moved on.
-    """
     contract._check_agents(len(xs))
-    gains = np.zeros(len(xs))
-    for i, (X, d) in enumerate(zip(xs, distortions)):
-        bps, slopes = contract.breakpoints[i], contract.slopes[i]
-        level = np.searchsorted(bps, X)
-        inside = (level > 0) & (level < bps.size)
-        inside[inside] = bps[level[inside]] != X[inside]
-        if inside.any():
-            cuts = np.unique(X[inside])
-            at = np.searchsorted(bps, cuts)
-            bps, slopes = np.insert(bps, at, cuts), np.insert(slopes, at, slopes[at - 1])
-            level = np.searchsorted(bps, X)
-        gains[i] = np.dot(np.diff(bps) * slopes, d(_tails(level, space.weights, bps.size)[:-1]))
-    return gains
+    return np.array([_layer_prices(bps, slopes[None], X, [space.weights], [[d]])[0]
+                     for bps, slopes, X, d in zip(contract.breakpoints, contract.slopes,
+                                                  xs, distortions)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -527,22 +502,20 @@ def centralized_welfare(space: EmpiricalSpace, endowments, distortions,
                         premiums=None) -> CentralizedWelfare:
     """Evaluate gains for policyholders and the expected-shortfall insurer.
 
-    Each gross gain rho_i(X_i) - rho_i(X_i - I_i(X_i)) is priced on the
-    contract's layers by :func:`_gross_gains`, with no sort; the indemnity
-    profiles are built only for the insurer's pool sum_i I_i(X_i), whose
-    expected shortfall is the insurer's risk.
+    The gross gains are the :func:`stackelberg_premiums`, bit for bit; the
+    indemnity profiles are built only for the insurer's pool sum_i I_i(X_i),
+    whose expected shortfall is the insurer's risk.
     """
-    xs, alpha = _check_inputs(space, endowments, distortions, contract.alpha)
-    gross = _gross_gains(space, xs, distortions, contract)
-    pool = contract.indemnity_profiles(space, xs).sum(axis=0)
-    insurer_risk = es(space, pool, alpha)
+    gross = stackelberg_premiums(space, endowments, distortions, contract)
+    pool = contract.indemnity_profiles(space, endowments).sum(axis=0)
+    insurer_risk = es(space, pool, contract.alpha)
     aggregate = float(np.sum(gross) - insurer_risk)
-    average = aggregate / (len(xs) + 1)
+    average = aggregate / (len(gross) + 1)
     policyholder_gains = None
     insurer_gain = None
     if premiums is not None:
         premiums = np.asarray(premiums, dtype=float)
-        if premiums.shape != (len(xs),):
+        if premiums.shape != gross.shape:
             raise ProfileMismatchError("one premium per agent required")
         if not np.isfinite(premiums).all():
             raise DomainError("premiums must be finite")

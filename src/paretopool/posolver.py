@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .distortion import PRELEC1, PRELEC2, DistortionSet
 from .errors import (DomainError, InvalidWeightsError, ProfileMismatchError,
                      ResourceLimitError, UnsupportedOperationError)
-from .riskmeasure import (EmpiricalSpace, _layer_function, _layer_table,
+from .riskmeasure import (EmpiricalSpace, _layer_function, _layer_prices, _layer_table,
                           as_profile, robust_drm, var)
 
 log = logging.getLogger(__name__)
@@ -170,9 +171,15 @@ class LayerAllocation:
         try:
             b, h, c = (np.asarray(payload[f], dtype=float)
                        for f in ("breakpoints", "slopes", "side_payments"))
-            chosen = tuple(int(i) for i in payload["chosen_distortions"])
+            chosen = payload["chosen_distortions"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed allocation: {exc!r}") from None
+        try:
+            # -1 marks a bool, and operator.index refuses floats and strings.
+            chosen = tuple(-1 if isinstance(i, (bool, np.bool_)) else operator.index(i)
+                           for i in chosen)
+        except TypeError:
+            chosen = (-1,)
         n = h.shape[0] if h.ndim == 2 else -1
         for field, bad, want in (
                 ("breakpoints", b.ndim != 1 or b.size == 0 or b[0] != 0.0
@@ -183,7 +190,8 @@ class LayerAllocation:
                  f"in [0, 1] with {b.size - 1} columns, one per layer"),
                 ("side_payments", c.shape != (n,) or not np.isfinite(c).all(),
                  "finite, one per agent"),
-                ("chosen_distortions", len(chosen) != n, "one per agent")):
+                ("chosen_distortions", len(chosen) != n or min(chosen, default=0) < 0,
+                 "one non-negative integer per agent")):
             if bad:
                 raise DomainError(f"allocation {field} must be {want}")
         return cls(b, h, c, chosen)
@@ -263,11 +271,6 @@ def solve_robust(agents) -> RobustSolution:
     return RobustSolution(alloc, best)
 
 
-def _robust_values(agents, profiles) -> np.ndarray:
-    return np.array([robust_drm(a.belief, profiles[i], a.distortions)[0]
-                     for i, a in enumerate(agents)])
-
-
 def side_payments(alloc: LayerAllocation, agents, weights=None) -> np.ndarray:
     """Side payments c_i delivering the chosen welfare split.
 
@@ -281,10 +284,12 @@ def side_payments(alloc: LayerAllocation, agents, weights=None) -> np.ndarray:
 
 
 def _pre_trade_values(agents, alloc: LayerAllocation):
-    """rho_i(X_i) and rho_i(g_i(S)), the risks before side payments."""
+    """rho_i(X_i) and rho_i(g_i(S)), the risks before side payments: only X_i
+    is sorted; g_i(S) is priced on the allocation's own layers."""
     S = _check_market(agents, alloc)
-    return (_robust_values(agents, [a.endowment for a in agents]),
-            _robust_values(agents, alloc.coverage(S)))
+    return (np.array([robust_drm(a.belief, a.endowment, a.distortions)[0] for a in agents]),
+            _layer_prices(alloc.breakpoints, alloc.slopes, S,
+                          [a.belief.weights for a in agents], [a.distortions for a in agents]))
 
 
 def _payments(initial, pre, weights) -> np.ndarray:
@@ -349,7 +354,8 @@ class MarketReport:
 
 def welfare_report(agents, alloc: LayerAllocation) -> MarketReport:
     """Initial risk rho_i(X_i) and post-trade risk rho_i(g_i(S)) + c_i of a
-    finished allocation; cash shifts a translation-invariant rho_i by c_i."""
+    finished allocation (:func:`_pre_trade_values`); cash shifts a
+    translation-invariant rho_i by c_i."""
     initial, pre = _pre_trade_values(agents, alloc)
     return _market_report(initial, pre + alloc.side_payments)
 
@@ -372,10 +378,9 @@ def settle(agents, alloc: LayerAllocation,
     """Attach side payments to an allocation and report the trade's welfare.
 
     The same values as :func:`side_payments`, :func:`with_side_payments`
-    and :func:`welfare_report` of the result, with two pricings per agent,
-    rho_i(X_i) and rho_i(g_i(S)); the post-trade risk is rho_i(g_i(S)) + c_i.
-    ``weights`` gives the non-negative proportions of the welfare gain W, as
-    for :func:`side_payments`.
+    and :func:`welfare_report` of the result, from one pricing of rho_i(X_i)
+    and rho_i(g_i(S)) (:func:`_pre_trade_values`); ``weights`` gives the
+    proportions of the welfare gain W, as for :func:`side_payments`.
     """
     initial, pre = _pre_trade_values(agents, alloc)
     settled = with_side_payments(alloc, _payments(initial, pre, weights))

@@ -67,15 +67,9 @@ def as_profile(space: EmpiricalSpace, values) -> np.ndarray:
 
 
 def survival(space: EmpiricalSpace, values, x: float) -> float:
-    """Probability that the profile strictly exceeds x."""
-    z = as_profile(space, values)
-    mask = z > float(x)
-    # The excluded mass is an exact float zero iff the event has full
-    # measure; return exactly 1 then, since distortions with unbounded
-    # endpoint slope amplify a one-ulp shortfall.
-    if float(np.sum(space.weights[~mask])) == 0.0:
-        return 1.0
-    return float(np.sum(space.weights[mask]))
+    """Probability that the profile strictly exceeds x, pinned as by :func:`_tails`."""
+    above = (as_profile(space, values) > float(x)).astype(np.intp)
+    return float(_tails(above, space.weights, 1)[0])
 
 
 def _tails(levels: np.ndarray, w, size: int, pin: bool = True) -> np.ndarray:
@@ -111,6 +105,34 @@ def _layer_table(z: np.ndarray, weight_rows, *, origin: bool = False):
         if id(w) not in distinct:
             distinct[id(w)] = _tails(levels, w, zs.size)
     return zs, np.array([distinct[id(w)] for w in weight_rows]), levels
+
+
+def _layer_prices(breakpoints: np.ndarray, slopes: np.ndarray, z: np.ndarray,
+                  weight_rows, candidate_sets) -> np.ndarray:
+    """Per row i, the largest over ``candidate_sets[i]`` of the Choquet value of
+    g_i(z) = :func:`_layer_function` under ``weight_rows[i]``, with no sort: by
+    comonotone additivity, sum_k len_k slopes[i, k] T(Q(z > b_k)) over the
+    layers row i carries, once a layer with a value of z strictly inside it
+    is split there, both parts keeping its slope.
+    """
+    level = np.searchsorted(breakpoints, z)
+    inside = (level > 0) & (level < breakpoints.size)
+    inside[inside] = breakpoints[level[inside]] != z[inside]
+    if inside.any():
+        cuts = np.unique(z[inside])
+        at = np.searchsorted(breakpoints, cuts)
+        breakpoints = np.insert(breakpoints, at, cuts)
+        slopes = np.insert(slopes, at, slopes[:, at - 1], axis=1)
+        level = np.searchsorted(breakpoints, z)
+    lengths, tails = np.diff(breakpoints), {}
+    values = np.zeros(len(slopes))
+    for i in np.flatnonzero(slopes.any(axis=1)):  # a row carrying nothing prices at 0
+        w, carried = weight_rows[i], slopes[i] != 0.0
+        if id(w) not in tails:
+            tails[id(w)] = _tails(level, w, breakpoints.size)[:-1]
+        held, t = lengths[carried] * slopes[i, carried], tails[id(w)][carried]
+        values[i] = max(float(np.dot(held, d(t))) for d in candidate_sets[i])
+    return values
 
 
 def _layer_function(breakpoints: np.ndarray, slopes: np.ndarray, x) -> np.ndarray:

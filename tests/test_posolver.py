@@ -232,6 +232,11 @@ BAD_ALLOCATION_FIELDS = {
     "side payments short": ("side_payments", lambda p: p.update(side_payments=[1.0])),
     "side payments nan": ("side_payments", lambda p: p.update(side_payments=[math.nan, 0.0])),
     "chosen short": ("chosen_distortions", lambda p: p.update(chosen_distortions=[0])),
+    "chosen fractional": ("chosen_distortions",
+                          lambda p: p.update(chosen_distortions=[1.7, 0])),
+    "chosen bool": ("chosen_distortions", lambda p: p.update(chosen_distortions=[True, 0])),
+    "chosen negative": ("chosen_distortions", lambda p: p.update(chosen_distortions=[-3, 0])),
+    "chosen string": ("chosen_distortions", lambda p: p.update(chosen_distortions=["2", 0])),
     "slopes missing": ("slopes", lambda p: p.pop("slopes")),
 }
 
@@ -245,6 +250,13 @@ def test_allocation_from_dict_rejects_a_malformed_field(case):
     mutate(payload)
     with pytest.raises(DomainError, match=field):
         LayerAllocation.from_dict(payload)
+
+
+def test_allocation_from_dict_takes_numpy_integer_candidate_indices():
+    payload = solve_fixed(two_power_agents())[0].to_dict()
+    payload["chosen_distortions"] = [np.int64(0), np.uint8(2)]
+    chosen = LayerAllocation.from_dict(payload).chosen_distortions
+    assert chosen == (0, 2) and all(type(i) is int for i in chosen)
 
 
 def test_allocation_from_dict_reloads_a_layerless_allocation():
@@ -309,9 +321,10 @@ def test_settle_matches_side_payments_then_welfare_report(monkeypatch, seed, rul
         return original(*args, **kwargs)
     monkeypatch.setattr(posolver, "robust_drm", counting)
     settled, report = settle(agents, alloc, weights)
-    # rho_i(X_i) and rho_i(g_i(S)), once each; rho_i(g_i(S) + c_i) is
-    # rho_i(g_i(S)) + c_i by translation invariance.
-    assert len(calls) == 2 * n
+    # rho_i(X_i) once each; rho_i(g_i(S)) is priced on the allocation's
+    # layers with no sort, and rho_i(g_i(S) + c_i) is rho_i(g_i(S)) + c_i by
+    # translation invariance.
+    assert len(calls) == n
     assert settled.side_payments.tobytes() == c.tobytes()
     assert np.array_equal(settled.slopes, alloc.slopes)
     for field in ("initial_values", "post_trade_values", "welfare_gains"):
@@ -353,10 +366,12 @@ def test_post_trade_risk_prices_the_paid_profile_by_translation_invariance(
         with monkeypatch.context() as patch:
             patch.setattr(posolver, "robust_drm", spy(posolver.robust_drm, "robust_drm"))
             patch.setattr(LayerAllocation, "profiles", spy(LayerAllocation.profiles, "profiles"))
+            patch.setattr(LayerAllocation, "coverage", spy(LayerAllocation.coverage, "coverage"))
             report = welfare_report(agents, paid)
             settle(agents, alloc, weights)
-        # Two pricings per agent in each call, and no paid profile built.
-        assert calls == ["robust_drm"] * (4 * n)
+        # One sort per agent in each call, of X_i; neither the coverage nor
+        # the paid profile is built.
+        assert calls == ["robust_drm"] * (2 * n)
 
         coverage, profiles = alloc.coverage(S), paid.profiles(S)
         for i, a in enumerate(agents):
@@ -365,6 +380,39 @@ def test_post_trade_risk_prices_the_paid_profile_by_translation_invariance(
             scale = max(abs(pre), abs(c[i]), 1.0)
             assert abs(report.post_trade_values[i] - direct) <= 1e-12 * scale
     assert signs == {-1.0, 1.0}
+
+
+def test_welfare_report_splits_hand_built_layers_at_the_aggregate_losses_values():
+    # Breakpoints that skip values of S, so that some fall strictly inside a
+    # layer, and stop above max S; fractional slopes, some of them zero.
+    rng = np.random.default_rng(960)
+    for _ in range(300):
+        m, n = int(rng.integers(2, 15)), int(rng.integers(1, 4))
+        zero_state = [int(rng.integers(m))]
+        shared = _sparse_belief(rng, m, zero_state)
+        agents = [AgentSpec(shared if rng.uniform() < 0.5 else _sparse_belief(rng, m, zero_state),
+                            DistortionSet(tuple(rand_distortion(rng)
+                                                for _ in range(int(rng.integers(1, 4))))),
+                            rand_losses(rng, m))
+                  for _ in range(n)]
+        S = aggregate_loss(agents)
+        top = float(S.max()) * rng.uniform(1.0, 1.5) + 1.0
+        b = np.unique(np.concatenate([[0.0, top], rng.uniform(0.0, top, int(rng.integers(0, 6))),
+                                      rng.choice(S, int(rng.integers(0, 3)))]))
+        c = rng.normal(0.0, 5.0, n)
+        alloc = LayerAllocation(b, rng.choice([0.0, 0.25, 1.0], (n, b.size - 1)), c, (0,) * n)
+        post, coverage = welfare_report(agents, alloc).post_trade_values, alloc.coverage(S)
+        for i, a in enumerate(agents):
+            want = robust_drm(a.belief, coverage[i], a.distortions)[0]
+            assert abs(post[i] - c[i] - want) <= 1e-12 * max(abs(want), abs(c[i]), 1.0)
+    # One layer [0, 10] over S = (0, 2, 5, 10), all of it held: the risk is
+    # rho(S) itself, which the unsplit layer would price as 10 * T(3/4).
+    sp, d = EmpiricalSpace.uniform(4), Distortion.power(0.5)
+    agents = [AgentSpec(sp, single(d), [0.0, 2.0, 5.0, 10.0])]
+    alloc = LayerAllocation(np.array([0.0, 10.0]), np.ones((1, 1)), np.zeros(1), (0,))
+    (post,) = welfare_report(agents, alloc).post_trade_values
+    assert post == pytest.approx(choquet(sp, agents[0].endowment, d), rel=1e-12)
+    assert post != pytest.approx(10.0 * d(0.75))
 
 
 def test_settle_validates_sizes():
