@@ -14,20 +14,15 @@ between policyholders and insurer without changing the aggregate gain.
 
 from __future__ import annotations
 
-import importlib
-import importlib.machinery
-import importlib.util
 import logging
-import os
-import sys
-import threading
 import warnings
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DomainError, NoCessionWarning, ProfileMismatchError, SolverError
+from .errors import DomainError, NoCessionWarning, ProfileMismatchError
+from .lp import Coo, Model
+from .lp import solve as linprog  # a module global: tests and the tracer patch it
 from .riskmeasure import (EmpiricalSpace, _layer_function, _layer_prices, _layer_table,
                           _tails, as_profile, es)
 
@@ -35,194 +30,6 @@ log = logging.getLogger(__name__)
 
 # Half-width of the tie band around Q* = nu in the indemnity case split.
 TIE_BAND = 1e-12
-
-
-# The HiGHS options of scipy's linprog(method="highs").
-_HIGHS_OPTIONS = (("presolve", "on"), ("simplex_strategy", 1),  # dual simplex
-                  ("output_flag", False), ("log_to_console", False),
-                  ("highs_debug_level", 0))
-
-
-_HIGHS_MODULE = "scipy.optimize._highspy._core"
-_HIGHS_LOCK = threading.Lock()
-
-
-def _highs_binding():
-    """scipy's bundled HiGHS binding, ``scipy.optimize._highspy._core``,
-    without importing the ``scipy.optimize`` package.
-
-    An already loaded binding is returned as is.  Otherwise the extension
-    is found in its folder inside the installed scipy and executed under its
-    real name, then registered in ``sys.modules``, so a later
-    ``import scipy.optimize`` reuses this very module (under another name,
-    pybind11 would register its types a second time).  Where scipy's layout
-    hides the file, the plain import runs instead: slower, same binding.
-    A lock makes concurrent first calls load it once.
-
-    Known gap: after a load from the file, the attribute access
-    ``scipy.optimize._highspy._core`` raises ``AttributeError``, because
-    the import system binds a submodule to its parent only when it loads
-    it.  ``from scipy.optimize._highspy import _core``, and scipy's own
-    ``linprog`` and ``milp``, get this module.
-    """
-    with _HIGHS_LOCK:
-        module = sys.modules.get(_HIGHS_MODULE)
-        if module is not None:
-            return module
-        import scipy
-        folder = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
-        spec = importlib.machinery.PathFinder.find_spec(_HIGHS_MODULE, [folder])
-        if spec is None:
-            return importlib.import_module(_HIGHS_MODULE)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[_HIGHS_MODULE] = module
-        return module
-
-
-@dataclass(eq=False)
-class _HighsModel:
-    """A live HiGHS model and the problem data it holds.
-
-    ``given`` is the cold call's cost, A_ub, b_ub, A_eq and b_eq, the very
-    objects a warm call must pass again.  ``problem`` is what HiGHS was
-    given: costs, the column-wise matrix, row bounds and column lower
-    bounds.  ``upper`` tracks the column upper bounds now in the model, and
-    ``restarted`` whether a warm solve has restarted it under Devex pricing.
-    ``measure`` is the :class:`_MeasureLP` that :func:`solve_measure_lp`
-    built this model from.
-    """
-
-    highs: object
-    given: tuple
-    problem: tuple
-    upper: np.ndarray
-    restarted: bool = False
-    measure: _MeasureLP | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class _Coo:
-    """A matrix as COO triplets, its fields named as those of scipy's
-    ``coo_array``, so that either one can be handed to :data:`linprog`."""
-
-    data: np.ndarray
-    row: np.ndarray
-    col: np.ndarray
-    shape: tuple[int, int]
-
-    @property
-    def nnz(self) -> int:
-        return self.data.size
-
-
-def _colwise(A_ub, A_eq):
-    """HiGHS's column-wise arrays (indptr, indices, data) of A_ub stacked
-    over A_eq, two COO matrices without duplicate entries: those of
-    scipy's ``csc_array(vstack((A_ub, A_eq)))``, rows sorted in each column."""
-    rows = np.concatenate([A_ub.row, A_eq.row + A_ub.shape[0]])
-    cols = np.concatenate([A_ub.col, A_eq.col])
-    order = np.lexsort((rows, cols))
-    counts = np.bincount(cols, minlength=A_ub.shape[1])
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-    data = np.concatenate([A_ub.data, A_eq.data])
-    return indptr, rows[order].astype(np.int32), data[order]
-
-
-class _Linprog:
-    """``scipy.optimize.linprog(method="highs")`` on scipy's own HiGHS binding.
-
-    Same call, options (presolve on, dual simplex, no output) and
-    post-solve check as scipy's; a solve that is not optimal, or whose
-    solution breaks a bound, slack or equality row by more than
-    10 sqrt(1e-9), raises :class:`SolverError`.  A_ub and A_eq are COO
-    matrices (:class:`_Coo` or scipy's ``coo_array``); numpy merges them
-    into the column-wise arrays HiGHS reads (:func:`_colwise`), so no call
-    imports scipy's matrix package.  The result is a ``SimpleNamespace``
-    with scipy's ``x``, ``fun``, ``status``, ``nit`` and ``ineqlin.marginals``
-    plus ``model``, the live HiGHS model.  The binding comes from
-    :func:`_highs_binding`, so no call imports ``scipy.optimize``.
-    ``warm=model`` re-solves that model after pushing in the changed column
-    upper bounds only: a bound change keeps the last optimal basis dual
-    feasible, so the dual simplex restarts from it in a few pivots.  A warm
-    call passes the very cost, A_ub, b_ub, A_eq and b_eq objects of the
-    model's cold call, which are compared by identity, not rebuilt, and the
-    same column lower bounds; otherwise it raises :class:`DomainError`.  A
-    model's first warm solve restarts HiGHS from the cold solve's basis
-    under Devex dual pricing, which the model then keeps; the cold solve
-    keeps scipy's options.
-
-    An instance, not a function: a tracer that wraps every public function
-    of this module and also ``linprog`` (``perfbench/tracer.py``) would
-    otherwise time the HiGHS call twice, one span inside the other.
-    """
-
-    def __call__(self, c, A_ub, b_ub, A_eq, b_eq, bounds,
-                 warm: _HighsModel | None = None):
-        highspy = _highs_binding()
-        inf = highspy.kHighsInf
-        n_ub = len(b_ub)
-        lower, upper = np.clip(np.asarray(bounds, dtype=float).T, -inf, inf)
-        if warm is None:
-            shape = (A_ub.shape[0] + A_eq.shape[0], A_ub.shape[1])
-            indptr, indices, data = _colwise(A_ub, A_eq)
-            lhs = np.concatenate([np.full(n_ub, -inf), b_eq])
-            rhs = np.concatenate([b_ub, b_eq])
-            cost = np.asarray(c, dtype=float)
-            model = _HighsModel(highspy._Highs(), (c, A_ub, b_ub, A_eq, b_eq),
-                                (cost, indptr, indices, data, lhs, rhs, lower), upper)
-            for key, value in _HIGHS_OPTIONS:
-                model.highs.setOptionValue(key, value)
-            lp = highspy.HighsLp()
-            lp.num_row_, lp.num_col_ = shape
-            lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = shape
-            lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
-            lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = \
-                indptr, indices, data
-            lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lower, upper
-            lp.row_lower_, lp.row_upper_ = lhs, rhs
-            if model.highs.passModel(lp) == highspy.HighsStatus.kError:
-                raise SolverError("HiGHS refused the LP")
-        else:
-            model = warm
-            if (any(a is not b for a, b in zip((c, A_ub, b_ub, A_eq, b_eq), model.given))
-                    or not np.array_equal(lower, model.problem[6])):
-                raise DomainError("a warm LP solve may change column upper bounds only")
-            if not model.restarted:
-                # Restart from the cold basis under Devex pricing: exact dual
-                # steepest-edge weights for that basis would cost HiGHS
-                # several times the re-solve itself.
-                basis = model.highs.getBasis()
-                model.highs.clearSolver()
-                model.highs.setBasis(basis)
-                model.highs.setOptionValue("simplex_dual_edge_weight_strategy", 1)
-                model.restarted = True
-            changed = np.flatnonzero(upper != model.upper)
-            model.highs.changeColsBounds(changed.size, changed, lower[changed],
-                                         upper[changed])
-            model.upper = upper
-        highs, rhs = model.highs, model.problem[5]
-        run = highs.run()
-        status = highs.getModelStatus()
-        if run == highspy.HighsStatus.kError or status != highspy.HighsModelStatus.kOptimal:
-            raise SolverError(f"HiGHS: {highs.modelStatusToString(status)}")
-        solution, info = highs.getSolution(), highs.getInfo()
-        x = np.array(solution.col_value)
-        fun = info.objective_function_value
-        residual = rhs - np.array(solution.row_value)
-        slack, con = residual[:n_ub], residual[n_ub:]
-        tol = 10.0 * 1e-9 ** 0.5
-        if (np.isnan(x).any() or np.isnan(fun) or np.isnan(residual).any()
-                or np.any(x < lower - tol) or np.any(x > upper + tol)
-                or np.any(slack < -tol) or np.any(np.abs(con) > tol)):
-            raise SolverError(f"HiGHS solution breaks the constraints by more than {tol:.2e}")
-        return SimpleNamespace(
-            x=x, fun=fun, status=0, nit=info.simplex_iteration_count,
-            ineqlin=SimpleNamespace(marginals=np.array(solution.row_dual)[:n_ub]),
-            model=model)
-
-
-linprog = _Linprog()
 
 
 def _check_inputs(space, endowments, distortions, alpha):
@@ -258,7 +65,7 @@ class CentralizedContract:
     value: float
     breakpoints: tuple[np.ndarray, ...]
     slopes: tuple[np.ndarray, ...]
-    model: _HighsModel | None = field(default=None, repr=False)
+    model: Model | None = field(default=None, repr=False)
 
     def indemnity(self, i: int, x) -> np.ndarray:
         return _layer_function(self.breakpoints[i], self.slopes[i], x)
@@ -318,7 +125,8 @@ class _MeasureLP:
     model's latest solve.  ``lens`` holds every layer length and ``first``
     each agent's first layer.  A warm solve is checked against ``alpha``,
     ``weights`` and the endowments ``xs``.  ``args`` holds the keywords c,
-    A_ub, b_ub, A_eq and b_eq that every solve passes to :data:`linprog`.
+    A_ub, b_ub, A_eq, b_eq and lower that every solve passes to
+    :data:`linprog`.
     """
 
     alpha: float
@@ -330,7 +138,6 @@ class _MeasureLP:
     lens: np.ndarray
     first: np.ndarray
     args: dict
-    lower: np.ndarray
     distortions: list
     nus: list
 
@@ -355,18 +162,18 @@ def _build_measure_lp(space: EmpiricalSpace, xs, alpha: float) -> _MeasureLP:
     q_rows = np.concatenate([start + lv[lv > 0] - 1 for start, lv in zip(first, levels)])
     q_cols = np.concatenate([np.flatnonzero(lv) for lv in levels])
     n_cols = n_states + 2 * n_aux
-    a_eq = _Coo(np.repeat([1.0, -1.0, 1.0], [n_aux, inner.size + q_rows.size, n_states]),
+    a_eq = Coo(np.repeat([1.0, -1.0, 1.0], [n_aux, inner.size + q_rows.size, n_states]),
                 np.concatenate([layer, inner, q_rows, np.full(n_states, n_aux)]),
                 np.concatenate([r_col, r_col[inner] + 1, q_cols, np.arange(n_states)]),
                 (n_aux + 1, n_cols))
-    a_ub = _Coo(np.repeat([1.0, -1.0], n_aux), np.tile(layer, 2),
+    a_ub = Coo(np.repeat([1.0, -1.0], n_aux), np.tile(layer, 2),
                 np.concatenate([r_col + n_aux, r_col]), (n_aux, n_cols))
     # R is free, not >= 0 (its chain sums q's): it stays basic, for fewer pivots.
-    lower = np.repeat([0.0, -np.inf, 0.0], [n_states, n_aux, n_aux])
     args = dict(c=np.concatenate([np.zeros(n_states + n_aux), -lens]), A_ub=a_ub,
-                b_ub=np.zeros(n_aux), A_eq=a_eq, b_eq=np.append(np.zeros(n_aux), 1.0))
+                b_ub=np.zeros(n_aux), A_eq=a_eq, b_eq=np.append(np.zeros(n_aux), 1.0),
+                lower=np.repeat([0.0, -np.inf, 0.0], [n_states, n_aux, n_aux]))
     return _MeasureLP(alpha, space.weights, [X.copy() for X in xs], bps_all, levels,
-                      tails_all, lens, first, args, lower, [None] * len(xs), [None] * len(xs))
+                      tails_all, lens, first, args, [None] * len(xs), [None] * len(xs))
 
 
 def solve_measure_lp(space: EmpiricalSpace, endowments, distortions, alpha: float,
@@ -398,22 +205,21 @@ def solve_measure_lp(space: EmpiricalSpace, endowments, distortions, alpha: floa
     """
     xs, alpha = _check_inputs(space, endowments, distortions, alpha)
     if warm is None:
-        lp, start = _build_measure_lp(space, xs, alpha), {}
+        lp = _build_measure_lp(space, xs, alpha)
     else:
-        lp = None if warm.model is None else warm.model.measure
+        lp = None if warm.model is None else warm.model.source
         if lp is None or alpha != lp.alpha or not np.array_equal(space.weights, lp.weights):
             raise DomainError("a warm measure LP needs a solved LP of the same "
                               "space, endowments and alpha")
         if len(xs) != len(lp.xs) or not all(map(np.array_equal, xs, lp.xs)):
             raise DomainError("a warm measure LP needs the same endowments: a warm "
                               "LP solve may change column upper bounds only")
-        start = {"warm": warm.model}
     for i, d in enumerate(distortions):
         if d != lp.distortions[i]:
             lp.distortions[i], lp.nus[i] = d, d(lp.tails[i])
     n_states, n_aux = space.state_count, lp.lens.size
     upper = np.concatenate([space.weights / alpha, np.full(n_aux, np.inf)] + lp.nus)
-    res = linprog(**lp.args, bounds=np.column_stack([lp.lower, upper]), **start)
+    res = linprog(**lp.args, upper=upper, warm=None if warm is None else warm.model)
     # Not -fun: with no layer, fun is +0.0 and the value must stay +0.0.
     value = float(0.0 - res.fun)
     a_ub, a_eq = lp.args["A_ub"], lp.args["A_eq"]
@@ -422,10 +228,9 @@ def solve_measure_lp(space: EmpiricalSpace, endowments, distortions, alpha: floa
               n_states, n_aux, a_ub.shape[0] + a_eq.shape[0], upper.size,
               a_ub.nnz + a_eq.nnz, res.status, "cold" if warm is None else "warm",
               res.nit, value)
-    q, model = res.x[:n_states].copy(), getattr(res, "model", None)
-    if model is not None:
-        model.measure = lp
-    fractions = np.clip(-res.ineqlin.marginals / lp.lens, 0.0, 1.0)
+    q = res.x[:n_states].copy()
+    res.model.source = lp
+    fractions = np.clip(-res.duals / lp.lens, 0.0, 1.0)
 
     slopes = []
     for bps, level, nu, on_tie in zip(lp.breakpoints, lp.levels, lp.nus,
@@ -434,7 +239,7 @@ def solve_measure_lp(space: EmpiricalSpace, endowments, distortions, alpha: floa
         qv = _tails(level, q, bps.size, pin=False)[:-1]
         slopes.append(np.where(qv < nu - TIE_BAND, 1.0,
                                np.where(qv > nu + TIE_BAND, 0.0, on_tie)))
-    contract = CentralizedContract(alpha, q, value, lp.breakpoints, tuple(slopes), model)
+    contract = CentralizedContract(alpha, q, value, lp.breakpoints, tuple(slopes), res.model)
     if contract.cedes_nothing():
         warnings.warn("centralized contract cedes nothing to the insurer",
                       NoCessionWarning, stacklevel=2)

@@ -395,21 +395,20 @@ def cmd_po_centralized(args) -> int:
 def cmd_stackelberg(args) -> int:
     cfg, labels, space, endowments, dists = _centralized_market(args)
     contract = central.solve_centralized(space, endowments, dists, cfg.alpha)
-    premiums = central.stackelberg_premiums(space, endowments, dists, contract)
-    welfare = central.centralized_welfare(space, endowments, dists, contract,
-                                          premiums=premiums)
+    # The premiums are the gross gains, bit for bit: every policyholder gains 0.
+    welfare = central.centralized_welfare(space, endowments, dists, contract)
     out = _out_dir(args)
-    rows = [[label, _fmt(premiums[i]), _fmt(welfare.policyholder_gains[i])]
-            for i, label in enumerate(labels)]
+    rows = [[label, _fmt(premium), _fmt(0.0)]
+            for label, premium in zip(labels, welfare.gross_gains)]
     _write_csv(out / "premiums_stackelberg.csv",
                ["agent", "premium", "policyholder_gain"], rows)
     _write_json(out / "stackelberg.json", {
         "schema_version": 1,
-        "insurer_gain": welfare.insurer_gain,
+        "insurer_gain": welfare.aggregate_gain,
         "aggregate_gain": welfare.aggregate_gain,
         "average_gain": welfare.average_gain,
     })
-    print(f"insurer gain {_fmt(welfare.insurer_gain)}; outputs in {out}")
+    print(f"insurer gain {_fmt(welfare.aggregate_gain)}; outputs in {out}")
     return 0
 
 

@@ -168,12 +168,13 @@ class LayerAllocation:
         """Reload :meth:`to_dict` output; a malformed field raises DomainError."""
         if payload.get("schema_version") != 1:
             raise DomainError("unsupported allocation schema version")
-        try:
-            b, h, c = (np.asarray(payload[f], dtype=float)
-                       for f in ("breakpoints", "slopes", "side_payments"))
-            chosen = payload["chosen_distortions"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed allocation: {exc!r}") from None
+        arrays = []
+        for field in ("breakpoints", "slopes", "side_payments"):
+            try:
+                arrays.append(np.asarray(payload[field], dtype=float))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DomainError(f"malformed allocation {field}: {exc!r}") from None
+        (b, h, c), chosen = arrays, payload.get("chosen_distortions")
         try:
             # -1 marks a bool, and operator.index refuses floats and strings.
             chosen = tuple(-1 if isinstance(i, (bool, np.bool_)) else operator.index(i)

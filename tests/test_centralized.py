@@ -15,6 +15,7 @@ from paretopool import (CentralizedContract, Distortion, EmpiricalSpace,
                         solve_centralized, solve_measure_lp,
                         single, stackelberg_premiums)
 from paretopool import AgentSpec, solve_robust, welfare_report
+from paretopool import lp as lp_module
 from paretopool.centralized import TIE_BAND
 from paretopool.cli import sweep_rows
 from paretopool.errors import (DomainError, NoCessionWarning,
@@ -74,7 +75,7 @@ def test_all_zero_market_solves_like_any_other():
     xs, ds = [np.zeros(5), np.zeros(5)], [Distortion.power(0.5), Distortion.tvar(0.3)]
     with pytest.warns(NoCessionWarning):
         cold = solve_measure_lp(sp, xs, ds, alpha)
-    assert isinstance(cold.model, centralized._HighsModel)
+    assert isinstance(cold.model, lp_module.Model)
     assert np.all(cold.q_star >= 0.0) and np.all(cold.q_star <= sp.weights / alpha)
     assert float(np.sum(cold.q_star)) == pytest.approx(1.0, abs=1e-12)
     assert cold.value == 0.0 and math.copysign(1.0, cold.value) == 1.0
@@ -140,9 +141,14 @@ def coo(a):
     return sparse.coo_array((a.data, (a.row, a.col)), shape=a.shape)
 
 
-def scipy_linprog(c, *, A_ub, A_eq, **kwargs):
-    """scipy's own ``linprog`` in place of ``centralized.linprog``."""
-    return linprog(c, A_ub=coo(A_ub), A_eq=coo(A_eq), **kwargs)
+def scipy_linprog(c, *, A_ub, A_eq, lower, upper, warm=None, **kwargs):
+    """scipy's own ``linprog`` in place of ``centralized.linprog``, cold only;
+    its stand-in model only carries what ``solve_measure_lp`` keeps on it."""
+    assert warm is None
+    res = linprog(c, A_ub=coo(A_ub), A_eq=coo(A_eq), bounds=np.column_stack([lower, upper]),
+                  **kwargs)
+    return lp_module.Solution(res.x, res.fun, res.ineqlin.marginals, res.nit,
+                              lp_module.Model(None, (), (), upper), res.status)
 
 
 def test_lp_nonzeros_linear_in_states_and_agents(monkeypatch):
@@ -254,12 +260,20 @@ def test_highs_binding_has_every_name_linprog_uses():
         assert hasattr(highspy.HighsLp, name), name
 
 
+def test_only_lp_names_the_private_highs_binding():
+    # One module drives HiGHS: the measure LP solves through it.
+    assert centralized.linprog is lp_module.solve
+    folder = Path(lp_module.__file__).parent
+    assert sorted(p.name for p in folder.glob("*.py")
+                  if "_highspy" in p.read_text(encoding="utf-8")) == ["lp.py"]
+
+
 def test_linprog_infeasible_lp_is_solver_error():
     # x <= -1 with 0 <= x <= 1.
     with pytest.raises(SolverError):
-        centralized.linprog(np.zeros(1), A_ub=sparse.coo_array([[1.0]]), b_ub=np.array([-1.0]),
-                            A_eq=sparse.coo_array((0, 1)), b_eq=np.zeros(0),
-                            bounds=np.array([[0.0, 1.0]]))
+        lp_module.solve(np.zeros(1), A_ub=sparse.coo_array([[1.0]]), b_ub=np.array([-1.0]),
+                        A_eq=sparse.coo_array((0, 1)), b_eq=np.zeros(0),
+                        lower=np.zeros(1), upper=np.ones(1))
 
 
 def sweep_market():
@@ -294,6 +308,45 @@ def test_warm_lp_matches_cold_scipy_solve(monkeypatch):
             assert lp.value == pytest.approx(cold.value, rel=1e-9, abs=1e-12)
             gains = [centralized_welfare(sp, xs, ds, r).aggregate_gain for r in (lp, cold)]
             assert gains[0] == pytest.approx(gains[1], rel=1e-9, abs=1e-9)
+
+
+def central_lp_shaped_market():
+    """A market of the central-lp workload's shape: 480 months x 10 agents
+    with Pareto-tailed losses in every cell, alternating Kahneman-Tversky and
+    Prelec1, alpha 0.15."""
+    rng = np.random.default_rng(35)
+    m, n = 480, 10
+    xs = [np.round(1e3 * (rng.pareto(rng.uniform(1.5, 3.0), m) + 1.0), 2) for _ in range(n)]
+    ds = [Distortion.kahneman_tversky(rng.uniform(0.4, 0.9)) if i % 2 == 0
+          else Distortion.prelec1(rng.uniform(0.5, 0.9)) for i in range(n)]
+    return EmpiricalSpace.uniform(m), xs, ds, 0.15
+
+
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
+@pytest.mark.parametrize("market", ["sweep", "central-lp"])
+def test_lp_solve_is_scipys_linprog_bit_for_bit(monkeypatch, market):
+    # On the cold measure LP, lp.solve's x, value, duals and iteration count
+    # are those of scipy's linprog(method="highs"); the duals set every tie
+    # slope.
+    if market == "sweep":
+        sp, xs, base, alpha = sweep_market()
+        ds = base + [Distortion.power(0.5)]
+    else:
+        sp, xs, ds, alpha = central_lp_shaped_market()
+    seen = []
+
+    def spy(**kwargs):
+        seen.append((kwargs, lp_module.solve(**kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(centralized, "linprog", spy)
+    solve_measure_lp(sp, xs, ds, alpha)
+    ((kwargs, got),) = seen
+    want = scipy_linprog(**kwargs)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.fun == want.fun
+    assert got.duals.tobytes() == want.duals.tobytes()
+    assert got.nit == want.nit > 0
 
 
 def scipy_csc(A_ub, A_eq):
@@ -346,9 +399,9 @@ def test_lp_matrix_with_no_equality_rows_is_scipys_csc():
     # max x + 2y + 3z subject to x + y <= 1, y + z <= 1, x + z <= 1.5, 0 <= x, y, z <= 1.
     a_ub = sparse.coo_array(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]))
     a_eq = sparse.coo_array((0, 3))
-    res = centralized.linprog(np.array([-1.0, -2.0, -3.0]), A_ub=a_ub,
-                              b_ub=np.array([1.0, 1.0, 1.5]), A_eq=a_eq, b_eq=np.zeros(0),
-                              bounds=np.array([[0.0, 1.0]] * 3))
+    res = lp_module.solve(np.array([-1.0, -2.0, -3.0]), A_ub=a_ub,
+                          b_ub=np.array([1.0, 1.0, 1.5]), A_eq=a_eq, b_eq=np.zeros(0),
+                          lower=np.zeros(3), upper=np.ones(3))
     assert_same_arrays(res.model.problem[1:4], scipy_csc(a_ub, a_eq))
     assert res.fun == pytest.approx(-3.5)  # at (0.5, 0, 1)
 
@@ -406,7 +459,7 @@ def test_warm_lp_refuses_another_alpha_or_endowments():
 
 def test_highs_binding_has_every_name_the_warm_restart_uses():
     # A scipy whose binding lacks one of these fails here, not mid-sweep.
-    highs = centralized._highs_binding()._Highs
+    highs = lp_module._highs_binding()._Highs
     for name in ("getBasis", "setBasis", "clearSolver", "setOptionValue", "getOptionValue"):
         assert hasattr(highs, name), name
 
@@ -416,18 +469,18 @@ def test_warm_linprog_takes_the_cold_calls_arrays_and_new_upper_bounds_only():
     a_ub = sparse.coo_array(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]))
     args = dict(A_ub=a_ub, b_ub=np.array([1.0, 1.0, 1.5]), A_eq=sparse.coo_array((0, 3)),
                 b_eq=np.zeros(0))
-    c = np.array([-1.0, -2.0, -3.0])
-    res = centralized.linprog(c, bounds=np.array([[0.0, 1.0]] * 3), **args)
+    c, lower = np.array([-1.0, -2.0, -3.0]), np.zeros(3)
+    res = lp_module.solve(c, lower=lower, upper=np.ones(3), **args)
     # z <= 0.5: the optimum moves to (0.5, 0.5, 0.5).
-    warm = centralized.linprog(c, bounds=np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 0.5]]),
-                               warm=res.model, **args)
+    warm = lp_module.solve(c, lower=lower, upper=np.array([1.0, 1.0, 0.5]), warm=res.model,
+                           **args)
     assert warm.model is res.model
     assert warm.fun == pytest.approx(-3.0)
     with pytest.raises(DomainError, match="column upper bounds only"):
-        centralized.linprog(c, bounds=np.array([[0.0, 1.0]] * 3), warm=res.model,
-                            **dict(args, A_ub=sparse.coo_array(a_ub.toarray())))
+        lp_module.solve(c, lower=lower, upper=np.ones(3), warm=res.model,
+                        **dict(args, A_ub=sparse.coo_array(a_ub.toarray())))
     with pytest.raises(DomainError, match="column upper bounds only"):
-        centralized.linprog(c, bounds=np.array([[0.1, 1.0]] * 3), warm=res.model, **args)
+        lp_module.solve(c, lower=np.full(3, 0.1), upper=np.ones(3), warm=res.model, **args)
 
 
 GRID = (0.3, 0.4, 0.5, 0.6, 0.65, 0.7)
@@ -436,7 +489,7 @@ DEVEX = ("simplex_dual_edge_weight_strategy", 1)
 
 def highs_options(highs):
     """Every HiGHS option of a model, by name."""
-    names = [n for n in dir(centralized._highs_binding().HighsOptions) if not n.startswith("_")]
+    names = [n for n in dir(lp_module._highs_binding().HighsOptions) if not n.startswith("_")]
     return {name: highs.getOptionValue(name)[1] for name in names}
 
 
@@ -455,7 +508,7 @@ def warm_and_cold(sp, xs, ds, alpha, warm):
 def test_sweep_builds_the_measure_lp_once(monkeypatch):
     sp, xs, base, alpha = sweep_market()
     builds, warms = [], []
-    colwise, solve = centralized._colwise, centralized.linprog
+    colwise, solve = lp_module._colwise, centralized.linprog
 
     def build_spy(*args):
         builds.append(args)
@@ -465,7 +518,7 @@ def test_sweep_builds_the_measure_lp_once(monkeypatch):
         warms.append(kwargs.get("warm"))
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(centralized, "_colwise", build_spy)
+    monkeypatch.setattr(lp_module, "_colwise", build_spy)
     monkeypatch.setattr(centralized, "linprog", solve_spy)
     dist_sets = [single(d) for d in base + [Distortion.power(0.5)]]
     assert len(sweep_rows(sp, xs, dist_sets, 2, list(GRID), alpha)) == len(GRID)
@@ -473,7 +526,7 @@ def test_sweep_builds_the_measure_lp_once(monkeypatch):
     # Every grid point still solves through centralized.linprog, the later
     # ones warm on the first one's model.
     assert len(warms) == len(GRID) and warms[0] is None
-    assert isinstance(warms[1], centralized._HighsModel)
+    assert isinstance(warms[1], lp_module.Model)
     assert all(w is warms[1] for w in warms[1:])
 
 
@@ -506,8 +559,8 @@ def test_warm_lp_matches_cold_in_any_grid_order():
                         [rand_losses(rng, n_states, scale=8.0) for _ in range(n_agents + 1)],
                         [rand_distortion(rng) for _ in range(n_agents)],
                         float(rng.uniform(0.08, 0.9))))
-    fresh = centralized._highs_binding()._Highs()
-    for key, value in centralized._HIGHS_OPTIONS:
+    fresh = lp_module._highs_binding()._Highs()
+    for key, value in lp_module._HIGHS_OPTIONS:
         fresh.setOptionValue(key, value)
     for sp, xs, base, alpha in markets:
         for order in (GRID[::-1], tuple(rng.permutation(GRID))):

@@ -712,6 +712,21 @@ def test_stackelberg_outputs(workdir):
         assert float(row[1]) == pytest.approx(pi, rel=1e-8, abs=1e-9)
 
 
+def test_stackelberg_prices_each_agent_once(workdir, monkeypatch):
+    # The premiums are the gross gains: one layer pricing per agent, not a
+    # second one for the welfare accounting.
+    seen, price = [], paretopool.centralized._layer_prices
+
+    def spy(*args):
+        seen.append(args)
+        return price(*args)
+
+    monkeypatch.setattr(paretopool.centralized, "_layer_prices", spy)
+    assert run(workdir, "stackelberg", "--config", workdir / "config.json",
+               "--data", workdir / "data.csv", "--out", workdir / "stack") == 0
+    assert len(seen) == len(base_config()["agents"]) > 1
+
+
 # -- sweep ----------------------------------------------------------------
 
 
@@ -1080,27 +1095,27 @@ def test_cold_commands_do_not_import_scipy_optimize(workdir, command):
 _SMALL_LP = """
     import numpy as np
     from scipy import sparse
-    from paretopool import centralized
+    from paretopool import lp
 
-    def value_by_centralized():
-        return centralized.linprog(
+    def value_by_lp():
+        return lp.solve(
             np.array([-1.0, -2.0]), A_ub=sparse.coo_array([[1.0, 1.0]]),
             b_ub=np.array([1.5]), A_eq=sparse.coo_array((0, 2)), b_eq=np.zeros(0),
-            bounds=np.array([[0.0, 1.0], [0.0, 1.0]])).fun
+            lower=np.zeros(2), upper=np.ones(2)).fun
 """
 
 
 def test_highs_binding_loaded_by_file_is_the_one_scipy_optimize_uses(tmp_path):
     proc = _fresh_python(_SMALL_LP + """
     import sys
-    core = centralized._highs_binding()
+    core = lp._highs_binding()
     assert "scipy.optimize" not in sys.modules
-    first = value_by_centralized()
+    first = value_by_lp()
     import scipy.optimize
     from scipy.optimize._highspy import _core
     assert _core is core
-    assert centralized._highs_binding() is core
-    values = [first, value_by_centralized(),
+    assert lp._highs_binding() is core
+    values = [first, value_by_lp(),
               scipy.optimize.linprog([-1.0, -2.0], A_ub=[[1.0, 1.0]], b_ub=[1.5],
                                      bounds=[(0, 1)] * 2, method="highs").fun,
               scipy.optimize.milp([-1.0, -2.0], bounds=scipy.optimize.Bounds(0, 1),
@@ -1115,8 +1130,8 @@ def test_highs_binding_after_scipy_optimize_is_scipys_module(tmp_path):
     proc = _fresh_python("""
     import scipy.optimize
     """ + _SMALL_LP + """
-    assert centralized._highs_binding() is scipy.optimize._highspy._core
-    assert value_by_centralized() == -2.5
+    assert lp._highs_binding() is scipy.optimize._highspy._core
+    assert value_by_lp() == -2.5
     """, tmp_path)
     assert proc.returncode == 0, proc.stderr
 
@@ -1128,12 +1143,12 @@ def test_highs_binding_falls_back_to_the_plain_import(tmp_path):
     import scipy
     real, scipy.__file__ = scipy.__file__, {str(tmp_path / "__init__.py")!r}
     try:
-        core = centralized._highs_binding()
+        core = lp._highs_binding()
     finally:
         scipy.__file__ = real
     assert "scipy.optimize" in sys.modules
     assert core is sys.modules["scipy.optimize._highspy._core"]
-    assert value_by_centralized() == -2.5
+    assert value_by_lp() == -2.5
     """, tmp_path)
     assert proc.returncode == 0, proc.stderr
 
@@ -1142,14 +1157,14 @@ def test_highs_binding_loads_once_under_racing_threads(tmp_path):
     proc = _fresh_python("""
     import sys
     import threading
-    from paretopool import centralized
+    from paretopool import lp
 
     n = 8
     barrier, found = threading.Barrier(n), []
 
     def load():
         barrier.wait(timeout=30)
-        found.append(centralized._highs_binding())
+        found.append(lp._highs_binding())
 
     sys.setswitchinterval(1e-6)
     try:

@@ -238,6 +238,9 @@ BAD_ALLOCATION_FIELDS = {
     "chosen negative": ("chosen_distortions", lambda p: p.update(chosen_distortions=[-3, 0])),
     "chosen string": ("chosen_distortions", lambda p: p.update(chosen_distortions=["2", 0])),
     "slopes missing": ("slopes", lambda p: p.pop("slopes")),
+    "breakpoints string": ("breakpoints", lambda p: p.update(breakpoints=[0.0, "x"])),
+    "slopes string": ("slopes", lambda p: p.update(slopes=[["x"], [0.0]])),
+    "side payments string": ("side_payments", lambda p: p.update(side_payments=["x", 0.0])),
 }
 
 
