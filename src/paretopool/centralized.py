@@ -259,15 +259,9 @@ def stackelberg_premiums(space: EmpiricalSpace, endowments, distortions,
         pi_i = rho_i(X_i) - rho_i(X_i - I_i(X_i)) = rho_i(I_i(X_i))
 
     by comonotone additivity, so the whole welfare gain accrues to the
-    insurer.  Each is priced on the contract's own layers by
-    :func:`_layer_prices` under ``distortions[i]``, never under the caps of
-    the contract's model, which a later warm solve may have moved on.
+    insurer: the gross gains of :func:`centralized_welfare`.
     """
-    xs, _ = _check_inputs(space, endowments, distortions, contract.alpha)
-    contract._check_agents(len(xs))
-    return np.array([_layer_prices(bps, slopes[None], X, [space.weights], [[d]])[0]
-                     for bps, slopes, X, d in zip(contract.breakpoints, contract.slopes,
-                                                  xs, distortions)])
+    return centralized_welfare(space, endowments, distortions, contract).gross_gains
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,12 +301,19 @@ def centralized_welfare(space: EmpiricalSpace, endowments, distortions,
                         premiums=None) -> CentralizedWelfare:
     """Evaluate gains for policyholders and the expected-shortfall insurer.
 
-    The gross gains are the :func:`stackelberg_premiums`, bit for bit; the
-    indemnity profiles are built only for the insurer's pool sum_i I_i(X_i),
-    whose expected shortfall is the insurer's risk.
+    One validated pass: per agent, one :func:`_layer_prices` call prices the
+    gross gain rho_i(I_i(X_i)) on the contract's own layers under
+    ``distortions[i]`` (never the caps of its model, which a later warm solve
+    may have moved on) and gives I_i(X_i) at every state.  The insurer's
+    risk is the expected shortfall of their sum, the pool.
     """
-    gross = stackelberg_premiums(space, endowments, distortions, contract)
-    pool = contract.indemnity_profiles(space, endowments).sum(axis=0)
+    xs, _ = _check_inputs(space, endowments, distortions, contract.alpha)
+    contract._check_agents(len(xs))
+    priced = [_layer_prices(bps, slopes[None], X, [space.weights], [[d]])
+              for bps, slopes, X, d in zip(contract.breakpoints, contract.slopes,
+                                           xs, distortions)]
+    gross = np.array([values[0] for values, _ in priced])
+    pool = np.sum([ceded[0] for _, ceded in priced], axis=0)
     insurer_risk = es(space, pool, contract.alpha)
     aggregate = float(np.sum(gross) - insurer_risk)
     average = aggregate / (len(gross) + 1)

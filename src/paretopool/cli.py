@@ -8,7 +8,8 @@ allocation can be reloaded and re-evaluated without loss.
 
 Exit codes: 0 success, 2 input or data format error, 3 solver failure,
 4 configuration error.  The PARETOPOOL_LOG environment variable sets the
-logging level.
+logging level.  A package warning prints as the one line ``warning:
+<message>`` on stderr, each distinct message once per run.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import logging
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +33,7 @@ from . import ingest
 from .distortion import (PARAM_NAMES, POWER, TABULATED, Distortion,
                          DistortionSet, single)
 from .errors import (ConfigError, DomainError, FormatError, InvalidWeightsError,
-                     ParetopoolError, UnsupportedOperationError)
+                     ParetopoolError, ParetopoolWarning, UnsupportedOperationError)
 from .posolver import (AgentSpec, aggregate_loss, settle, solve_robust,
                        welfare_shares)
 from .riskmeasure import EmpiricalSpace, choquet
@@ -575,20 +577,36 @@ def _configure_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _show_once(show):
+    """A ``warnings.showwarning`` that prints each distinct package warning
+    once, as ``warning: <message>``, and hands other warnings to ``show``."""
+    seen = set()
+
+    def showwarning(message, category, *where):
+        if not issubclass(category, ParetopoolWarning):
+            show(message, category, *where)
+        elif str(message) not in seen:
+            seen.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+    return showwarning
+
+
 def main(argv=None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 4
-    except (FormatError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except ParetopoolError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_once(warnings.showwarning)
+        try:
+            return args.func(args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 4
+        except (FormatError, OSError) as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return 2
+        except ParetopoolError as exc:
+            print(f"solver error: {exc}", file=sys.stderr)
+            return 3
 
 
 def entrypoint() -> None:

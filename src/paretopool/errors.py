@@ -48,5 +48,9 @@ class ConfigError(ParetopoolError, ValueError):
     """A run configuration file is malformed or inconsistent."""
 
 
-class NoCessionWarning(UserWarning):
+class ParetopoolWarning(UserWarning):
+    """Base class for the warnings this package issues."""
+
+
+class NoCessionWarning(ParetopoolWarning):
     """Emitted when a centralized contract cedes nothing to the insurer."""

@@ -290,7 +290,7 @@ def _pre_trade_values(agents, alloc: LayerAllocation):
     S = _check_market(agents, alloc)
     return (np.array([robust_drm(a.belief, a.endowment, a.distortions)[0] for a in agents]),
             _layer_prices(alloc.breakpoints, alloc.slopes, S,
-                          [a.belief.weights for a in agents], [a.distortions for a in agents]))
+                          [a.belief.weights for a in agents], [a.distortions for a in agents])[0])
 
 
 def _payments(initial, pre, weights) -> np.ndarray:

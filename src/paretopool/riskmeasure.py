@@ -108,12 +108,15 @@ def _layer_table(z: np.ndarray, weight_rows, *, origin: bool = False):
 
 
 def _layer_prices(breakpoints: np.ndarray, slopes: np.ndarray, z: np.ndarray,
-                  weight_rows, candidate_sets) -> np.ndarray:
+                  weight_rows, candidate_sets) -> tuple[np.ndarray, np.ndarray]:
     """Per row i, the largest over ``candidate_sets[i]`` of the Choquet value of
     g_i(z) = :func:`_layer_function` under ``weight_rows[i]``, with no sort: by
     comonotone additivity, sum_k len_k slopes[i, k] T(Q(z > b_k)) over the
     layers row i carries, once a layer with a value of z strictly inside it
     is split there, both parts keeping its slope.
+
+    Returns those values and g[i, s] = g_i(z[s]), the sum of row i's layers
+    below z[s]'s level: once split, every z[s] in [b_0, b_L] is a breakpoint.
     """
     level = np.searchsorted(breakpoints, z)
     inside = (level > 0) & (level < breakpoints.size)
@@ -132,7 +135,9 @@ def _layer_prices(breakpoints: np.ndarray, slopes: np.ndarray, z: np.ndarray,
             tails[id(w)] = _tails(level, w, breakpoints.size)[:-1]
         held, t = lengths[carried] * slopes[i, carried], tails[id(w)][carried]
         values[i] = max(float(np.dot(held, d(t))) for d in candidate_sets[i])
-    return values
+    below = np.cumsum(slopes * lengths, axis=1)
+    below = np.concatenate([np.zeros((len(slopes), 1)), below], axis=1)
+    return values, below[:, np.minimum(level, lengths.size)]
 
 
 def _layer_function(breakpoints: np.ndarray, slopes: np.ndarray, x) -> np.ndarray:
@@ -187,19 +192,12 @@ def var(space: EmpiricalSpace, values, alpha: float) -> float:
 
 
 def es(space: EmpiricalSpace, values, alpha: float) -> float:
-    """Expected shortfall (1/alpha) * integral of VaR_u over u in (0, alpha].
-
-    Evaluated exactly from the piecewise-constant quantile function; agrees
-    with the Choquet integral under the tvar distortion.
-    """
+    """Expected shortfall (1/alpha) * integral of VaR_u over u in (0, alpha]:
+    the Choquet integral under the distortion tvar(alpha)."""
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"es level must lie in (0, 1), got {alpha}")
-    zs, tails = _distinct_layers(space, values)
-    # VaR_u = zs[k] for u in [tails[k], tails[k-1]); tails[-1] = 0.
-    upper = np.concatenate([[1.0], tails[:-1]])
-    seg = np.clip(np.minimum(upper, alpha) - np.minimum(tails, alpha), 0.0, None)
-    return float(np.dot(zs, seg) / alpha)
+    return choquet(space, values, Distortion.tvar(alpha))
 
 
 def robust_drm(space: EmpiricalSpace, values, candidates: DistortionSet) -> tuple[float, int]:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
@@ -14,8 +16,9 @@ from paretopool import (CentralizedContract, Distortion, EmpiricalSpace,
                         centralized, centralized_welfare, choquet, es,
                         solve_centralized, solve_measure_lp,
                         single, stackelberg_premiums)
-from paretopool import AgentSpec, solve_robust, welfare_report
+from paretopool import AgentSpec, solve_fixed, solve_robust, welfare_report
 from paretopool import lp as lp_module
+from paretopool import riskmeasure
 from paretopool.centralized import TIE_BAND
 from paretopool.cli import sweep_rows
 from paretopool.errors import (DomainError, NoCessionWarning,
@@ -830,14 +833,43 @@ def test_stackelberg_alpha_threshold_reports_no_insurance():
 
 @pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
 def test_insurer_risk_is_es_of_pool():
+    # On an LP contract every state's value is a breakpoint, so the pool the
+    # welfare pass reads off its layer sums is the indemnity profiles' sum,
+    # bit for bit.
     rng = np.random.default_rng(46)
-    sp = rand_space(rng, 5)
-    xs = [rand_losses(rng, 5) for _ in range(2)]
-    ds = [Distortion.power(0.5), Distortion.kahneman_tversky(0.5)]
-    contract = solve_centralized(sp, xs, ds, 0.25)
+    sp, xs, base, alpha = sweep_market()
+    markets = [(sp, xs, base + [Distortion.power(gamma)], alpha) for gamma in (0.3, 0.5, 0.7)]
+    for _ in range(40):
+        markets.append(random_market(rng, int(rng.integers(1, 30)), int(rng.integers(1, 5))))
+    for sp, xs, ds, alpha in markets:
+        contract = solve_centralized(sp, xs, ds, alpha)
+        pool = contract.indemnity_profiles(sp, xs).sum(axis=0)
+        assert centralized_welfare(sp, xs, ds, contract).insurer_risk == es(sp, pool, alpha)
+
+
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
+def test_welfare_prices_each_agent_once_and_builds_no_indemnity_profile(monkeypatch):
+    sp, xs, base, alpha = sweep_market()
+    ds = base + [Distortion.power(0.5)]
+    contract = solve_centralized(sp, xs, ds, alpha)
+    calls = []
+    price = centralized._layer_prices
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])
+        return price(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the welfare pass evaluated an indemnity profile")
+
+    monkeypatch.setattr(centralized, "_layer_prices", spy)
+    for owner in (centralized, riskmeasure):
+        monkeypatch.setattr(owner, "_layer_function", refuse)
+    monkeypatch.setattr(CentralizedContract, "indemnity_profiles", refuse)
     welfare = centralized_welfare(sp, xs, ds, contract)
-    pool = contract.indemnity_profiles(sp, xs).sum(axis=0)
-    assert welfare.insurer_risk == pytest.approx(es(sp, pool, 0.25), abs=1e-12)
+    assert len(calls) == len(xs)
+    assert all(np.array_equal(z, X) for z, X in zip(calls, xs))
+    assert welfare.insurer_risk > 0.0
 
 
 # -- grid points priced on layer tables ---------------------------------------
@@ -976,7 +1008,6 @@ def test_sweep_prices_each_pre_trade_risk_once(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
 def test_warm_measure_lp_sorts_nothing(monkeypatch):
-    from paretopool import riskmeasure
     sp, xs, base, alpha = sweep_market()
     tables, table = [], riskmeasure._layer_table
 
@@ -1003,3 +1034,45 @@ def test_sweep_index_must_name_an_agent():
             sweep_rows(sp, xs, dist_sets, bad, [0.3, 0.7], alpha)
     rows = sweep_rows(sp, xs, dist_sets, n - 1, [0.3, 0.7], alpha)
     assert rows[0][2:] != rows[1][2:]
+
+
+# -- the centralized market against the layer market ---------------------------
+
+
+def layer_optimum_with_insurer(sp, xs, ds, alpha):
+    """solve_fixed's value with the policyholders and a tvar(alpha) agent
+    of zero endowment in the role of the insurer."""
+    insurer = AgentSpec(sp, single(Distortion.tvar(alpha)), np.zeros(sp.state_count))
+    agents = [AgentSpec(sp, single(d), x) for d, x in zip(ds, xs)] + [insurer]
+    return solve_fixed(agents)[1]
+
+
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 25))
+@settings(max_examples=100, deadline=None)
+def test_one_policyholder_lp_is_the_layer_optimum_with_a_tvar_insurer(seed, n_states):
+    # Both equal sum_k len_k min(T(P(X > b_k)), min(P(X > b_k) / alpha, 1)).
+    sp, xs, ds, alpha = random_market(np.random.default_rng(seed), n_states, 1)
+    value = solve_centralized(sp, xs, ds, alpha).value
+    optimum = layer_optimum_with_insurer(sp, xs, ds, alpha)
+    assert abs(value - optimum) <= 1e-12 * abs(optimum)
+
+
+@pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 25),
+       n_agents=st.integers(2, 4))
+@settings(max_examples=100, deadline=None)
+def test_comonotone_layer_optimum_is_at_most_the_lp_value(seed, n_states, n_agents):
+    # Ceding each I_i(X_i) to the tvar agent allocates S comonotonely, so the
+    # layer optimum is at most the sum of the one-policyholder values, which
+    # the LP reaches with the measure p / alpha on the top states.
+    rng = np.random.default_rng(seed)
+    sp, xs, ds, alpha = random_market(rng, n_states, n_agents)
+    order = rng.permutation(n_states)
+    comonotone = []
+    for x in xs:
+        y = np.empty_like(x)
+        y[order] = np.sort(x)
+        comonotone.append(y)
+    value = solve_centralized(sp, comonotone, ds, alpha).value
+    assert layer_optimum_with_insurer(sp, comonotone, ds, alpha) <= value + 1e-12 * abs(value)

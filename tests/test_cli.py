@@ -996,6 +996,26 @@ def _fresh_python(script: str, cwd, *options: str) -> subprocess.CompletedProces
                           cwd=cwd, capture_output=True, text=True, env=env)
 
 
+@pytest.mark.parametrize("command", [["stackelberg"], ["sweep", "--grid", "0.8,0.9,0.95"]])
+def test_no_cession_warns_in_one_line_once_per_run(workdir, command):
+    # One mildly risk-averse policyholder and an insurer at alpha 0.01, which
+    # prices a layer at its full length: no contract cedes anything.  The
+    # sweep solves three LPs from two call sites.
+    cfg = base_config(alpha=0.01)
+    cfg["agents"] = [{"label": "CA",
+                      "distortions": [{"family": "power", "params": {"gamma": 0.9}}]}]
+    (workdir / "config.json").write_text(json.dumps(cfg))
+    argv = command + ["--config", "config.json", "--data", "data.csv", "--out", "out"]
+    proc = _fresh_python(f"""
+        import sys
+        import paretopool.cli as cli
+        sys.exit(cli.main({argv!r}))
+        """, workdir)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "warning: centralized contract cedes nothing to the insurer"]
+
+
 def test_cli_import_and_po_decentralized_do_not_load_scipy(workdir):
     proc = _fresh_python("""
         import sys

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from paretopool import (Distortion, DistortionSet, EmpiricalSpace, choquet,
                         es, robust_drm, survival, var)
 from paretopool.errors import DomainError, ProfileMismatchError
+from paretopool.oracle import brute_force_choquet
 from paretopool.riskmeasure import _layer_table
 from testkit import rand_distortion, rand_losses, rand_space
 
@@ -222,6 +223,23 @@ def test_es_equals_tvar_choquet():
         alpha = float(rng.uniform(0.05, 0.95))
         assert es(sp, z, alpha) == pytest.approx(
             choquet(sp, z, Distortion.tvar(alpha)), abs=1e-12)
+
+
+def test_es_matches_descending_sort_oracle():
+    # es is the tvar Choquet integral; the oracle sorts in descending order
+    # and shares no layer code with it.
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        n = int(rng.integers(1, 10))
+        w = rand_space(rng, n).weights.copy()
+        if n > 2:
+            w[rng.choice(n, int(rng.integers(1, n - 1)), replace=False)] = 0.0
+        sp = EmpiricalSpace(w / w.sum())
+        # Values on a coarse grid, so ties are common, and of either sign.
+        z = rng.integers(-3, 4, n) * float(rng.uniform(0.5, 5.0))
+        alpha = float(rng.choice([rng.uniform(0.01, 0.99), 0.25, 0.5]))
+        assert es(sp, z, alpha) == pytest.approx(
+            brute_force_choquet(sp, z, Distortion.tvar(alpha)), rel=1e-12, abs=1e-12)
 
 
 def test_es_dominates_var():
