@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError, NoCessionWarning, ProfileMismatchError
 from .lp import Coo, Model
 from .lp import solve as linprog  # a module global: tests and the tracer patch it
-from .riskmeasure import (EmpiricalSpace, _layer_function, _layer_prices, _layer_table,
+from .riskmeasure import (EmpiricalSpace, _layer_prices, _layer_values, _layer_table,
                           _tails, as_profile, es)
 
 log = logging.getLogger(__name__)
@@ -68,7 +68,7 @@ class CentralizedContract:
     model: Model | None = field(default=None, repr=False)
 
     def indemnity(self, i: int, x) -> np.ndarray:
-        return _layer_function(self.breakpoints[i], self.slopes[i], x)
+        return _layer_values(self.breakpoints[i], self.slopes[i], x)[-1]
 
     def indemnity_profiles(self, space: EmpiricalSpace, endowments) -> np.ndarray:
         self._check_agents(len(endowments))

@@ -23,7 +23,7 @@ import numpy as np
 from .distortion import PRELEC1, PRELEC2, DistortionSet
 from .errors import (DomainError, InvalidWeightsError, ProfileMismatchError,
                      ResourceLimitError, UnsupportedOperationError)
-from .riskmeasure import (EmpiricalSpace, _layer_function, _layer_prices, _layer_table,
+from .riskmeasure import (EmpiricalSpace, _layer_prices, _layer_values, _layer_table,
                           as_profile, robust_drm, var)
 
 log = logging.getLogger(__name__)
@@ -146,9 +146,9 @@ class LayerAllocation:
         """g_i evaluated at x for every agent; x scalar or 1-D array.
 
         Defined on [0, max S]; beyond the last breakpoint the functions
-        stay flat, which is irrelevant on the support of S.
+        stay flat (irrelevant on the support of S).  NaN raises DomainError.
         """
-        return _layer_function(self.breakpoints, self.slopes, x)
+        return _layer_values(self.breakpoints, self.slopes, x)[-1]
 
     def profiles(self, S) -> np.ndarray:
         """Per-state post-trade losses g_i(S) + c_i, shape (agents, states)."""

@@ -68,7 +68,10 @@ def as_profile(space: EmpiricalSpace, values) -> np.ndarray:
 
 def survival(space: EmpiricalSpace, values, x: float) -> float:
     """Probability that the profile strictly exceeds x, pinned as by :func:`_tails`."""
-    above = (as_profile(space, values) > float(x)).astype(np.intp)
+    x = float(x)
+    if math.isnan(x):
+        raise DomainError("survival level must not be NaN")
+    above = (as_profile(space, values) > x).astype(np.intp)
     return float(_tails(above, space.weights, 1)[0])
 
 
@@ -107,17 +110,18 @@ def _layer_table(z: np.ndarray, weight_rows, *, origin: bool = False):
     return zs, np.array([distinct[id(w)] for w in weight_rows]), levels
 
 
-def _layer_prices(breakpoints: np.ndarray, slopes: np.ndarray, z: np.ndarray,
-                  weight_rows, candidate_sets) -> tuple[np.ndarray, np.ndarray]:
-    """Per row i, the largest over ``candidate_sets[i]`` of the Choquet value of
-    g_i(z) = :func:`_layer_function` under ``weight_rows[i]``, with no sort: by
-    comonotone additivity, sum_k len_k slopes[i, k] T(Q(z > b_k)) over the
-    layers row i carries, once a layer with a value of z strictly inside it
-    is split there, both parts keeping its slope.
+def _layer_values(breakpoints: np.ndarray, slopes: np.ndarray, z):
+    """g = sum_k slopes[..., k] * clip(z - b_k, 0, len_k) at scalar or 1-D z.
 
-    Returns those values and g[i, s] = g_i(z[s]), the sum of row i's layers
-    below z[s]'s level: once split, every z[s] in [b_0, b_L] is a breakpoint.
+    A layer holding a value of z strictly inside it is split there, both
+    parts keeping its slope, so one ``searchsorted`` finds each z's level.
+    Returns the split breakpoints and slopes, the levels and g[..., s], the
+    layer sum below z[s]'s level: flat outside [b_0, b_L], ±inf included.
+    A NaN z raises DomainError.
     """
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if np.isnan(z).any():
+        raise DomainError("layer functions are not defined at NaN")
     level = np.searchsorted(breakpoints, z)
     inside = (level > 0) & (level < breakpoints.size)
     inside[inside] = breakpoints[level[inside]] != z[inside]
@@ -125,8 +129,21 @@ def _layer_prices(breakpoints: np.ndarray, slopes: np.ndarray, z: np.ndarray,
         cuts = np.unique(z[inside])
         at = np.searchsorted(breakpoints, cuts)
         breakpoints = np.insert(breakpoints, at, cuts)
-        slopes = np.insert(slopes, at, slopes[:, at - 1], axis=1)
+        slopes = np.insert(slopes, at, slopes[..., at - 1], axis=-1)
         level = np.searchsorted(breakpoints, z)
+    below = np.cumsum(slopes * np.diff(breakpoints), axis=-1)
+    below = np.concatenate([np.zeros(slopes.shape[:-1] + (1,)), below], axis=-1)
+    return breakpoints, slopes, level, below[..., np.minimum(level, below.shape[-1] - 1)]
+
+
+def _layer_prices(breakpoints: np.ndarray, slopes: np.ndarray, z: np.ndarray,
+                  weight_rows, candidate_sets) -> tuple[np.ndarray, np.ndarray]:
+    """Per row i, the largest over ``candidate_sets[i]`` of the Choquet value of
+    g_i(z) under ``weight_rows[i]``, with no sort: by comonotone additivity,
+    sum_k len_k slopes[i, k] T(Q(z > b_k)) over the layers row i carries,
+    split by :func:`_layer_values`.  Also returns its g[i, s] = g_i(z[s]).
+    """
+    breakpoints, slopes, level, g = _layer_values(breakpoints, slopes, z)
     lengths, tails = np.diff(breakpoints), {}
     values = np.zeros(len(slopes))
     for i in np.flatnonzero(slopes.any(axis=1)):  # a row carrying nothing prices at 0
@@ -135,25 +152,7 @@ def _layer_prices(breakpoints: np.ndarray, slopes: np.ndarray, z: np.ndarray,
             tails[id(w)] = _tails(level, w, breakpoints.size)[:-1]
         held, t = lengths[carried] * slopes[i, carried], tails[id(w)][carried]
         values[i] = max(float(np.dot(held, d(t))) for d in candidate_sets[i])
-    below = np.cumsum(slopes * lengths, axis=1)
-    below = np.concatenate([np.zeros((len(slopes), 1)), below], axis=1)
-    return values, below[:, np.minimum(level, lengths.size)]
-
-
-def _layer_function(breakpoints: np.ndarray, slopes: np.ndarray, x) -> np.ndarray:
-    """sum_k slopes[..., k] * clip(x - b_k, 0, b_k+1 - b_k) at scalar or 1-D x.
-
-    Each x reads the cumulative sum of the layers below its own, found by
-    ``searchsorted``: O((layers + points) log layers) per row.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    lower, lengths = breakpoints[:-1], np.diff(breakpoints)
-    if lower.size == 0:
-        return np.zeros(slopes.shape[:-1] + x.shape)
-    below = np.cumsum(slopes * lengths, axis=-1)
-    below = np.concatenate([np.zeros_like(below[..., :1]), below[..., :-1]], axis=-1)
-    k = np.clip(np.searchsorted(lower, x, side="right") - 1, 0, lower.size - 1)
-    return below[..., k] + slopes[..., k] * np.clip(x - lower[k], 0.0, lengths[k])
+    return values, g
 
 
 def _distinct_layers(space: EmpiricalSpace, values):

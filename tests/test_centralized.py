@@ -852,23 +852,34 @@ def test_welfare_prices_each_agent_once_and_builds_no_indemnity_profile(monkeypa
     sp, xs, base, alpha = sweep_market()
     ds = base + [Distortion.power(0.5)]
     contract = solve_centralized(sp, xs, ds, alpha)
-    calls = []
-    price = centralized._layer_prices
+    calls, evaluated, pricing = [], [], []
+    price, evaluate = centralized._layer_prices, riskmeasure._layer_values
 
     def spy(*args, **kwargs):
         calls.append(args[2])
-        return price(*args, **kwargs)
+        pricing.append(True)
+        try:
+            return price(*args, **kwargs)
+        finally:
+            pricing.pop()
+
+    def evaluate_spy(*args, **kwargs):
+        assert pricing, "a layer function was evaluated outside _layer_prices"
+        evaluated.append(args[2])
+        return evaluate(*args, **kwargs)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the welfare pass evaluated an indemnity profile")
 
     monkeypatch.setattr(centralized, "_layer_prices", spy)
     for owner in (centralized, riskmeasure):
-        monkeypatch.setattr(owner, "_layer_function", refuse)
+        monkeypatch.setattr(owner, "_layer_values", evaluate_spy)
     monkeypatch.setattr(CentralizedContract, "indemnity_profiles", refuse)
     welfare = centralized_welfare(sp, xs, ds, contract)
     assert len(calls) == len(xs)
     assert all(np.array_equal(z, X) for z, X in zip(calls, xs))
+    assert len(evaluated) == len(xs)
+    assert all(np.array_equal(z, X) for z, X in zip(evaluated, xs))
     assert welfare.insurer_risk > 0.0
 
 

@@ -783,6 +783,7 @@ KERNEL_CASES = [(shared, zero_state, all_zero)
 @pytest.mark.parametrize("shared, zero_state, all_zero", KERNEL_CASES)
 def test_layer_kernel_matches_dense_reference(shared, zero_state, all_zero):
     rng = np.random.default_rng(7000 + 4 * shared + 2 * zero_state + all_zero)
+    shuffle = np.random.default_rng(7200)  # a separate stream leaves rng's market draws alone
     for _ in range(25):
         m, n = int(rng.integers(2, 40)), int(rng.integers(1, 5))
         agents = _kernel_market(rng, m, n, shared=shared, zero_state=zero_state,
@@ -798,7 +799,8 @@ def test_layer_kernel_matches_dense_reference(shared, zero_state, all_zero):
         assert all_zero or zero_state or np.all(grid.survivals[:, 0] == 1.0)
 
         top = float(S.max())
-        points = [S, S[0], 0.5 * top, -1.0, top + 3.0, np.array([-2.0, top, 2 * top + 1])]
+        points = [S, S[0], 0.5 * top, -1.0, top + 3.0, np.array([-2.0, top, 2 * top + 1]),
+                  shuffle.permutation(np.linspace(-1.0, top + 1.0, 101))]
         alloc, _ = solve_fixed(agents)
         mixed = LayerAllocation(bps, rng.uniform(0.0, 1.0, (n, bps.size - 1)),
                                 np.zeros(n), (0,) * n)
@@ -814,6 +816,7 @@ def test_layer_kernel_matches_dense_reference(shared, zero_state, all_zero):
 @pytest.mark.parametrize("zero_state", [True, False])
 def test_centralized_layers_match_dense_reference(zero_state):
     rng = np.random.default_rng(7100 + zero_state)
+    shuffle = np.random.default_rng(7200)  # a separate stream leaves rng's market draws alone
     for _ in range(25):
         m, n = int(rng.integers(2, 30)), int(rng.integers(1, 4))
         agents = _kernel_market(rng, m, n, shared=True, zero_state=zero_state,
@@ -838,11 +841,27 @@ def test_centralized_layers_match_dense_reference(zero_state):
         for i, x in enumerate(xs):
             top = float(x.max())
             bps = contract.breakpoints[i]
-            for pts in (x, -1.0, top + 2.0, 0.5 * top):
+            for pts in (x, -1.0, top + 2.0, 0.5 * top,
+                        shuffle.permutation(np.linspace(-1.0, top + 1.0, 101))):
                 got = mixed.indemnity(i, pts)
                 want = _dense_layer_function(bps, slopes[i], pts)
                 assert got.shape == want.shape
                 assert np.all(np.abs(got - want) <= 1e-12 * max(top, 1.0))
+
+
+def test_layer_functions_refuse_nan_and_stay_flat_at_infinities():
+    alloc = LayerAllocation(np.array([0.0, 1.0, 3.0]), np.array([[1.0, 0.25], [0.0, 0.75]]),
+                            np.zeros(2), (0, 0))
+    contract = CentralizedContract(0.2, np.full(2, 0.5), 0.0, (np.array([0.0, 2.0]),),
+                                   (np.array([0.5]),))
+    for call in (lambda: alloc.coverage(np.nan), lambda: alloc.coverage([1.0, np.nan]),
+                 lambda: contract.indemnity(0, np.nan)):
+        with pytest.raises(DomainError):
+            call()
+    assert np.array_equal(alloc.coverage([-np.inf, 0.0, 1.0, 3.0, np.inf]),
+                          [[0.0, 0.0, 1.0, 1.5, 1.5], [0.0, 0.0, 0.0, 1.5, 1.5]])
+    assert np.array_equal(contract.indemnity(0, [-np.inf, 0.0, 2.0, np.inf]),
+                          [0.0, 0.0, 1.0, 1.0])
 
 
 def test_solve_fixed_and_coverage_memory_bounded():

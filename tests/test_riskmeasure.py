@@ -81,6 +81,14 @@ def test_survival_exact_one_over_zero_weight_states():
     assert s == 1.0
 
 
+def test_survival_refuses_a_nan_level():
+    # Every comparison with NaN is False, so a NaN level would read as 0.0.
+    with pytest.raises(DomainError, match="NaN"):
+        survival(EmpiricalSpace.uniform(3), [0.0, 1.0, 2.0], float("nan"))
+    assert survival(uniform(3), [0.0, 1.0, 2.0], -math.inf) == 1.0
+    assert survival(uniform(3), [0.0, 1.0, 2.0], math.inf) == 0.0
+
+
 def test_survival_profile_mismatch():
     with pytest.raises(ProfileMismatchError):
         survival(uniform(2), [1.0, 2.0, 3.0], 0.5)
