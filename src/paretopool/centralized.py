@@ -114,36 +114,29 @@ class CentralizedContract:
         }
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _MeasureLP:
-    """The measure LP as a cold :func:`solve_measure_lp` built it, kept on
-    its live model so that a warm solve neither rebuilds nor compares it.
+    """What a cold :func:`solve_measure_lp` built, kept on its live model so
+    that a warm solve neither rebuilds nor compares it.
 
     Per agent: :func:`_layer_table`'s ``breakpoints``, reference survival
-    ``tails`` Q(X_i > b_k) and state ``levels``, and the caps ``nus``, the
-    distortion of those tails under ``distortions``, which are those of the
-    model's latest solve.  ``lens`` holds every layer length and ``first``
-    each agent's first layer.  A warm solve is checked against ``alpha``,
-    ``weights`` and the endowments ``xs``.  ``args`` holds the keywords c,
-    A_ub, b_ub, A_eq, b_eq and lower that every solve passes to
-    :data:`linprog`.
+    ``tails`` Q(X_i > b_k) and state ``levels`` (breakpoints[i][levels[i]]
+    is X_i); ``lens`` holds every layer length and ``first`` each agent's
+    first layer; ``args`` the keywords c, A_ub, b_ub, A_eq, b_eq and lower
+    that every solve passes to :data:`linprog`.
     """
 
-    alpha: float
     weights: np.ndarray
-    xs: list
     breakpoints: tuple
     levels: tuple
     tails: list
     lens: np.ndarray
     first: np.ndarray
     args: dict
-    distortions: list
-    nus: list
 
 
-def _build_measure_lp(space: EmpiricalSpace, xs, alpha: float) -> _MeasureLP:
-    """Everything of the measure LP but the caps nu, which the distortions set.
+def _build_measure_lp(space: EmpiricalSpace, xs) -> _MeasureLP:
+    """Everything of the measure LP but the bounds p/alpha and the caps nu.
 
     Equality row first_i + k: R_ik - R_i,k+1 - q(X_i = b_k+1) = 0, without
     R_i,k+1 on agent i's top layer; row n_aux: sum q = 1.
@@ -172,8 +165,7 @@ def _build_measure_lp(space: EmpiricalSpace, xs, alpha: float) -> _MeasureLP:
     args = dict(c=np.concatenate([np.zeros(n_states + n_aux), -lens]), A_ub=a_ub,
                 b_ub=np.zeros(n_aux), A_eq=a_eq, b_eq=np.append(np.zeros(n_aux), 1.0),
                 lower=np.repeat([0.0, -np.inf, 0.0], [n_states, n_aux, n_aux]))
-    return _MeasureLP(alpha, space.weights, [X.copy() for X in xs], bps_all, levels,
-                      tails_all, lens, first, args, [None] * len(xs), [None] * len(xs))
+    return _MeasureLP(space.weights, bps_all, levels, tails_all, lens, first, args)
 
 
 def solve_measure_lp(space: EmpiricalSpace, endowments, distortions, alpha: float,
@@ -193,32 +185,30 @@ def solve_measure_lp(space: EmpiricalSpace, endowments, distortions, alpha: floa
     the contract then attains the LP value exactly, even where the saddle
     point is degenerate.  Warns when the contract cedes nothing.
 
-    The distortions enter only as the aux columns' caps nu.  ``warm``, an
-    earlier contract of the same space, endowments and alpha, re-solves its
-    live HiGHS model from its optimal basis without building the LP again:
-    alpha, the space's weights and the endowments are checked against the
-    model, which raises DomainError when any differs, and nu is evaluated
-    again only for the agents whose distortion differs from the model's
-    latest solve.  That model then holds this solve.  No solve sorts to
-    read Q*(X_i > b_k): the suffix sums of :func:`_tails` run on the state
-    levels the cold build kept.
+    The distortions enter only as the aux columns' caps nu, which each solve
+    works out for every agent.  ``warm``, an earlier contract of the same
+    space, endowments and alpha, re-solves its live HiGHS model from its
+    optimal basis without building the LP again; another alpha, space
+    weights or endowments raise DomainError.  An unchanged distortion gives
+    the very same caps, so only changed caps go into HiGHS.  That model then
+    holds this solve.  No solve sorts to read Q*(X_i > b_k): the suffix sums
+    of :func:`_tails` run on the state levels the cold build kept.
     """
     xs, alpha = _check_inputs(space, endowments, distortions, alpha)
     if warm is None:
-        lp = _build_measure_lp(space, xs, alpha)
+        lp = _build_measure_lp(space, xs)
     else:
         lp = None if warm.model is None else warm.model.source
-        if lp is None or alpha != lp.alpha or not np.array_equal(space.weights, lp.weights):
+        if lp is None or alpha != warm.alpha or not np.array_equal(space.weights, lp.weights):
             raise DomainError("a warm measure LP needs a solved LP of the same "
                               "space, endowments and alpha")
-        if len(xs) != len(lp.xs) or not all(map(np.array_equal, xs, lp.xs)):
+        if len(xs) != len(lp.levels) or not all(
+                np.array_equal(X, b[v]) for X, b, v in zip(xs, lp.breakpoints, lp.levels)):
             raise DomainError("a warm measure LP needs the same endowments: a warm "
                               "LP solve may change column upper bounds only")
-    for i, d in enumerate(distortions):
-        if d != lp.distortions[i]:
-            lp.distortions[i], lp.nus[i] = d, d(lp.tails[i])
+    nus = [d(t) for d, t in zip(distortions, lp.tails)]
     n_states, n_aux = space.state_count, lp.lens.size
-    upper = np.concatenate([space.weights / alpha, np.full(n_aux, np.inf)] + lp.nus)
+    upper = np.concatenate([space.weights / alpha, np.full(n_aux, np.inf)] + nus)
     res = linprog(**lp.args, upper=upper, warm=None if warm is None else warm.model)
     # Not -fun: with no layer, fun is +0.0 and the value must stay +0.0.
     value = float(0.0 - res.fun)
@@ -233,7 +223,7 @@ def solve_measure_lp(space: EmpiricalSpace, endowments, distortions, alpha: floa
     fractions = np.clip(-res.duals / lp.lens, 0.0, 1.0)
 
     slopes = []
-    for bps, level, nu, on_tie in zip(lp.breakpoints, lp.levels, lp.nus,
+    for bps, level, nu, on_tie in zip(lp.breakpoints, lp.levels, nus,
                                       np.split(fractions, lp.first[1:])):
         # Q*(X_i > b_k) as raw sums: neither clipped nor pinned.
         qv = _tails(level, q, bps.size, pin=False)[:-1]
@@ -303,8 +293,7 @@ def centralized_welfare(space: EmpiricalSpace, endowments, distortions,
 
     One validated pass: per agent, one :func:`_layer_prices` call prices the
     gross gain rho_i(I_i(X_i)) on the contract's own layers under
-    ``distortions[i]`` (never the caps of its model, which a later warm solve
-    may have moved on) and gives I_i(X_i) at every state.  The insurer's
+    ``distortions[i]`` and gives I_i(X_i) at every state.  The insurer's
     risk is the expected shortfall of their sum, the pool.
     """
     xs, _ = _check_inputs(space, endowments, distortions, contract.alpha)

@@ -217,7 +217,7 @@ def _read_panel(path, loss_column: str) -> ingest.LossPanel:
 
 def _load_market(args, cfg: RunConfig):
     panel = _read_panel(args.data, cfg.loss_column)
-    shared, _ = ingest.to_space(panel)
+    shared = EmpiricalSpace.uniform(panel.month_count)
     agents = []
     for acfg in cfg.agents:
         try:
@@ -431,8 +431,8 @@ def sweep_rows(space, endowments, dist_sets, sweep_index, gammas, alpha):
     - The peer-to-peer solves run in grid order on one worker thread while
       this thread solves the measure LPs and the centralized welfare.  The
       first grid point builds the measure LP; each later one is warm from
-      the one before, so it evaluates only the swept agent's caps again and
-      re-solves the same live HiGHS model from its last basis.
+      the one before: it rebuilds nothing, pushes only the swept agent's
+      caps into HiGHS and re-solves the same live model from its last basis.
     - The centralized gross gains are priced on each contract's layers with
       no sort (:func:`~paretopool.centralized.centralized_welfare`).
 

@@ -171,6 +171,8 @@ class LayerAllocation:
         arrays = []
         for field in ("breakpoints", "slopes", "side_payments"):
             try:
+                if not _json_numbers(payload[field]):
+                    raise TypeError("every entry must be a JSON number, not a string or bool")
                 arrays.append(np.asarray(payload[field], dtype=float))
             except (KeyError, TypeError, ValueError) as exc:
                 raise DomainError(f"malformed allocation {field}: {exc!r}") from None
@@ -196,6 +198,13 @@ class LayerAllocation:
             if bad:
                 raise DomainError(f"allocation {field} must be {want}")
         return cls(b, h, c, chosen)
+
+
+def _json_numbers(value) -> bool:
+    """Whether every entry of a nested list is an int or a float, not a bool."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_json_numbers, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def solve_fixed(agents) -> tuple[LayerAllocation, float]:

@@ -453,6 +453,11 @@ def test_warm_lp_refuses_another_alpha_or_endowments():
         solve_measure_lp(sp, xs, ds, 0.4, warm=lp)
     with pytest.raises(DomainError, match="column upper bounds only"):
         solve_measure_lp(sp, [np.array([0.0, 7.0])], ds, 0.5, warm=lp)
+    # The same distinct values in other states: the same layers, another LP.
+    with pytest.raises(DomainError, match="column upper bounds only"):
+        solve_measure_lp(sp, [np.array([10.0, 0.0])], ds, 0.5, warm=lp)
+    with pytest.raises(DomainError, match="same space, endowments and alpha"):
+        solve_measure_lp(EmpiricalSpace(np.array([0.25, 0.75])), xs, ds, 0.5, warm=lp)
     with pytest.raises(DomainError):
         solve_measure_lp(EmpiricalSpace.uniform(3), [np.array([0.0, 10.0, 4.0])], ds, 0.5, warm=lp)
     # Another distortion only moves the layer cap nu: 10 * 0.5 ** 0.8.
@@ -533,8 +538,15 @@ def test_sweep_builds_the_measure_lp_once(monkeypatch):
     assert all(w is warms[1] for w in warms[1:])
 
 
+def cap_columns(sp, contract, i):
+    """The LP columns of agent i's caps: after q, R and the earlier agents' aux."""
+    counts = np.array([b.size - 1 for b in contract.breakpoints])
+    start = sp.state_count + counts.sum() + counts[:i].sum()
+    return np.arange(start, start + counts[i])
+
+
 @pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")
-def test_warm_lp_evaluates_only_the_changed_caps(monkeypatch):
+def test_warm_lp_evaluates_every_cap_and_pushes_only_the_changed_ones(monkeypatch):
     sp, xs, base, alpha = sweep_market()
     lp = solve_measure_lp(sp, xs, base + [Distortion.power(0.3)], alpha)
     seen, evaluate = [], Distortion.__call__
@@ -544,12 +556,16 @@ def test_warm_lp_evaluates_only_the_changed_caps(monkeypatch):
         return evaluate(d, t)
 
     monkeypatch.setattr(Distortion, "__call__", spy)
-    lp = solve_measure_lp(sp, xs, base + [Distortion.power(0.5)], alpha, warm=lp)
-    assert seen == [Distortion.power(0.5)]
-    seen.clear()
-    solve_measure_lp(sp, xs, [Distortion.power(0.9), base[1], Distortion.power(0.5)], alpha,
-                     warm=lp)
-    assert seen == [Distortion.power(0.9)]
+    for i, ds in ((2, base + [Distortion.power(0.5)]),
+                  (0, [Distortion.power(0.9), base[1], Distortion.power(0.5)])):
+        before = lp.model.upper.copy()
+        seen.clear()
+        lp = solve_measure_lp(sp, xs, ds, alpha, warm=lp)
+        # Each solve works out every agent's caps, once each, but only the
+        # changed agent's differ from those already in the model.
+        assert seen == ds
+        changed = np.flatnonzero(lp.model.upper != before)
+        assert changed.size and np.isin(changed, cap_columns(sp, lp, i)).all()
 
 
 @pytest.mark.filterwarnings("ignore::paretopool.errors.NoCessionWarning")

@@ -241,6 +241,9 @@ BAD_ALLOCATION_FIELDS = {
     "breakpoints string": ("breakpoints", lambda p: p.update(breakpoints=[0.0, "x"])),
     "slopes string": ("slopes", lambda p: p.update(slopes=[["x"], [0.0]])),
     "side payments string": ("side_payments", lambda p: p.update(side_payments=["x", 0.0])),
+    "breakpoints numeric string": ("breakpoints", lambda p: p.update(breakpoints=["0", "10"])),
+    "slopes bool": ("slopes", lambda p: p.update(slopes=[[0.0], [True]])),
+    "side payments bool": ("side_payments", lambda p: p.update(side_payments=[0.5, False])),
 }
 
 
